@@ -20,15 +20,12 @@ from . import scenarios as sc
 from .scenarios import Check, Scenario, ScenarioError
 
 
-def _fraction(text):
+def _rational(text):
+    """A rational flag value in scenario-file form: an int or "p/q"."""
     try:
-        return Fraction(text)
+        f = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-
-
-def _rat_str(f):
-    f = Fraction(f)
     return int(f) if f.denominator == 1 else str(f)
 
 
@@ -44,7 +41,7 @@ def _coords(text):
                 f"coordinate {part!r} is not of the form name=value"
             )
         name, _, value = part.partition("=")
-        out[name.strip()] = _rat_str(_fraction(value.strip()))
+        out[name.strip()] = _rational(value.strip())
     return out
 
 
@@ -74,11 +71,6 @@ def _emit(report):
     return 0 if report.passed else 1
 
 
-def _run_checks(name, kind, checks):
-    scenario = Scenario(name, kind, tuple(checks))
-    return _emit(sc.run_scenario_obj(scenario))
-
-
 # -- subcommand implementations -------------------------------------------
 
 
@@ -103,72 +95,47 @@ def _cmd_run_all(ns):
     return 0 if agg.passed else 1
 
 
-def _cmd_kuranishi(ns):
-    if ns.action == "ob2":
-        if ns.coords:
-            checks = [Check("ob2_at", {"coords": ns.coords})]
-        else:
-            checks = [Check("ob2_symbolic", {},
-                            {"involves_trace_vars": False})]
-        return _run_checks("cli:ob2", "kuranishi", checks)
-    if ns.action == "segre":
-        if ns.xi is None and ns.lam is None:
-            args = {"symbolic": True}
-        elif ns.xi is None or ns.lam is None:
-            raise ScenarioError("segre needs both --xi and --lam, or neither")
-        else:
-            if len(ns.xi) != 3 or len(ns.lam) != 2:
-                raise ScenarioError(
-                    "--xi takes three rationals and --lam takes two"
-                )
-            args = {
-                "xi": [_rat_str(v) for v in ns.xi],
-                "lam": [_rat_str(v) for v in ns.lam],
-            }
-        return _run_checks(
-            "cli:segre", "kuranishi",
-            [Check("segre", args, {"on_locus": True})],
-        )
-    if ns.action == "count":
-        if ns.prime is None:
-            raise ScenarioError("count needs --prime")
-        return _run_checks(
-            "cli:count", "kuranishi",
-            [Check("count_points", {"prime": ns.prime})],
-        )
-    raise ScenarioError(f"unknown kuranishi action {ns.action!r}")
+# (command, action) -> the one check it runs, as (op, args, expect).  A flag
+# left unset is left out of args, so the op's own argument spec decides
+# whether it was required.
+_ACTIONS = {
+    ("kuranishi", "ob2"): lambda ns: (
+        ("ob2_at", {"coords": ns.coords}, None) if ns.coords
+        else ("ob2_symbolic", {}, {"involves_trace_vars": False})
+    ),
+    ("kuranishi", "segre"): lambda ns: (
+        "segre",
+        {"xi": ns.xi, "lam": ns.lam} if ns.xi or ns.lam else {"symbolic": True},
+        {"on_locus": True},
+    ),
+    ("kuranishi", "count"): lambda ns: ("count_points", {"prime": ns.prime}, None),
+    ("git", "psi"): lambda ns: ("psi", {"coords": ns.coords}, None),
+    ("git", "orbits"): lambda ns: ("orbits", {"z1": ns.z1, "z2": ns.z2}, None),
+    ("git", "fiber"): lambda ns: ("fiber", {"along": ns.along}, None),
+    ("deform", None): lambda ns: (
+        "congruence",
+        {"order": ns.order,
+         "ztrunc": ns.order + 4 if ns.ztrunc is None else ns.ztrunc,
+         "g2": ns.g2, "g3": ns.g3},
+        {"ok": True},
+    ),
+    ("diffop", "normalize"): lambda ns: ("normalize", {"expr": ns.expr}, None),
+    ("diffop", "member"): lambda ns: (
+        "membership",
+        {"expr": ns.expr,
+         "variant": {"kind": "logarithmic"} if ns.logarithmic
+         else {"kind": "meromorphic", "pole_mult": ns.pole_mult}},
+        None,
+    ),
+}
 
 
-def _cmd_git(ns):
-    if ns.action == "psi":
-        if not ns.coords:
-            raise ScenarioError("psi needs --coords")
-        return _run_checks(
-            "cli:psi", "git", [Check("psi", {"coords": ns.coords})]
-        )
-    if ns.action == "orbits":
-        if ns.z1 is None or ns.z2 is None:
-            raise ScenarioError("orbits needs --z1 and --z2")
-        args = {"z1": _rat_str(ns.z1), "z2": _rat_str(ns.z2)}
-        return _run_checks("cli:orbits", "git", [Check("orbits", args)])
-    if ns.action == "fiber":
-        return _run_checks(
-            "cli:fiber", "git", [Check("fiber", {"along": ns.along})]
-        )
-    raise ScenarioError(f"unknown git action {ns.action!r}")
-
-
-def _cmd_deform(ns):
-    ztrunc = ns.ztrunc if ns.ztrunc is not None else ns.order + 4
-    args = {
-        "order": ns.order,
-        "ztrunc": ztrunc,
-        "g2": _rat_str(ns.g2),
-        "g3": _rat_str(ns.g3),
-    }
-    return _run_checks(
-        "cli:deform", "deform", [Check("congruence", args, {"ok": True})]
-    )
+def _cmd_action(ns):
+    op, args, expect = _ACTIONS[ns.command, ns.action](ns)
+    args = {k: v for k, v in args.items() if v is not None}
+    scenario = Scenario(f"cli:{ns.action or ns.command}", ns.command,
+                        (Check(op, args, expect),))
+    return _emit(sc.run_scenario_obj(scenario))
 
 
 def _cmd_scenario_of_kind(kind):
@@ -182,24 +149,6 @@ def _cmd_scenario_of_kind(kind):
         return _emit(sc.run_scenario_obj(scenario))
 
     return run
-
-
-def _cmd_diffop(ns):
-    if ns.action == "normalize":
-        return _run_checks(
-            "cli:normalize", "diffop",
-            [Check("normalize", {"expr": ns.expr})],
-        )
-    if ns.action == "member":
-        if ns.logarithmic:
-            variant = {"kind": "logarithmic"}
-        else:
-            variant = {"kind": "meromorphic", "pole_mult": ns.pole_mult}
-        return _run_checks(
-            "cli:member", "diffop",
-            [Check("membership", {"expr": ns.expr, "variant": variant})],
-        )
-    raise ScenarioError(f"unknown diffop action {ns.action!r}")
 
 
 def build_parser():
@@ -224,20 +173,20 @@ def build_parser():
     p.add_argument("action", choices=("ob2", "segre", "count"))
     p.add_argument("--coords", type=_coords, default=None,
                    help="point as name=value pairs, e.g. x=1,y12=-3/2")
-    p.add_argument("--xi", type=_fraction, nargs=3, default=None,
+    p.add_argument("--xi", type=_rational, nargs=3, default=None,
                    metavar="Q", help="three rationals for the conic direction")
-    p.add_argument("--lam", type=_fraction, nargs=2, default=None,
+    p.add_argument("--lam", type=_rational, nargs=2, default=None,
                    metavar="Q", help="two rationals for the line direction")
     p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_kuranishi)
+    p.set_defaults(func=_cmd_action)
 
     p = subs.add_parser("git", help="invariants and quotient geometry")
     p.add_argument("action", choices=("psi", "orbits", "fiber"))
     p.add_argument("--coords", type=_coords, default=None)
-    p.add_argument("--z1", type=_fraction, default=None)
-    p.add_argument("--z2", type=_fraction, default=None)
+    p.add_argument("--z1", type=_rational, default=None)
+    p.add_argument("--z2", type=_rational, default=None)
     p.add_argument("--along", choices=("z1", "z2"), default="z2")
-    p.set_defaults(func=_cmd_git)
+    p.set_defaults(func=_cmd_action)
 
     p = subs.add_parser(
         "deform", help="order-by-order glueing congruence check"
@@ -245,9 +194,9 @@ def build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--ztrunc", type=int, default=None,
                    help="series truncation (default: order + 4)")
-    p.add_argument("--g2", type=_fraction, default=Fraction(4))
-    p.add_argument("--g3", type=_fraction, default=Fraction(0))
-    p.set_defaults(func=_cmd_deform)
+    p.add_argument("--g2", type=_rational, default=4)
+    p.add_argument("--g3", type=_rational, default=0)
+    p.set_defaults(func=_cmd_action, action=None)
 
     p = subs.add_parser("cohomology", help="run a cohomology scenario")
     p.add_argument("--scenario", required=True)
@@ -268,7 +217,7 @@ def build_parser():
     p.add_argument("expr", help="operator expression, e.g. \"(z^2*d)^2\"")
     p.add_argument("--pole-mult", type=int, default=1, dest="pole_mult")
     p.add_argument("--logarithmic", action="store_true")
-    p.set_defaults(func=_cmd_diffop)
+    p.set_defaults(func=_cmd_action)
 
     return parser
 

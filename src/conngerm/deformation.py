@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mat2
-from .kuranishi import COORDS, DEFAULT_ORDER, quadrics, symbolic_pair
-from .poly import MPoly, buchberger, normal_form
+from .kuranishi import COORDS, DEFAULT_ORDER, groebner_basis, symbolic_pair
+from .poly import MPoly, normal_form
 from .series import TruncationExhausted, TruncLaurent
 
 ZVAR = "z"
@@ -176,7 +176,7 @@ def build_cocycle(K, N, wp):
             f"Weierstrass series reliable through {wp.trunc} < requested {N}"
         )
     pair = symbolic_pair()
-    basis = tuple(buchberger(quadrics().as_list(), DEFAULT_ORDER))
+    basis = groebner_basis()
     phi2 = phi_cochain(2, wp)
 
     one = MPoly.const(COORDS, 1)
@@ -288,7 +288,7 @@ def commutes_mod_ideal():
     """Normal form of every entry of [T, Y] modulo the quadric basis is 0:
     the coordinate matrices commute exactly on the obstruction locus."""
     pair = symbolic_pair()
-    basis = buchberger(quadrics().as_list(), DEFAULT_ORDER)
+    basis = groebner_basis()
     comm = mat2.commutator(pair.T, pair.Y)
     return all(
         not normal_form(entry, basis, DEFAULT_ORDER)

@@ -194,13 +194,6 @@ def normalize(letters):
     return result
 
 
-def multiply(a, b, variant=None):
-    """Normalized product.  The variant flag is accepted for interface
-    fidelity: with one coordinate, d commutes with itself, so integrable
-    and nonintegrable products have identical normal forms."""
-    return a * b
-
-
 def filtration_order(a):
     return a.order()
 
@@ -211,14 +204,11 @@ class LambdaVariant:
 
     kind: "full" (no constraint), "meromorphic" (fields vanishing on the
     divisor d*[z=0], generated by z^pole_mult * d), or "logarithmic"
-    (fields preserving the ideal (z), generated by z*d).  The integrable
-    flag records the symmetric-vs-tensor algebra distinction; in one
-    variable it does not affect normal forms.
+    (fields preserving the ideal (z), generated by z*d).
     """
 
     kind: str
     pole_mult: int = 1
-    integrable: bool = True
 
     def __post_init__(self):
         if self.kind not in ("full", "meromorphic", "logarithmic"):

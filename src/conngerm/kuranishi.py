@@ -30,6 +30,7 @@ degenerate fiber is a double plane, multiplicity 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from . import mat2
 from .poly import MonomialOrder, MPoly, buchberger, normal_form
 
 COORDS = ("x0", "x", "x12", "x21", "y0", "y", "y12", "y21")
-TRACELESS = ("x", "x12", "x21", "y", "y12", "y21")
 DEFAULT_ORDER = MonomialOrder("degrevlex", COORDS)
 LEX_ORDER = MonomialOrder("lex", COORDS)
 
@@ -116,8 +116,16 @@ def quadrics():
     )
 
 
-def groebner_basis(order=DEFAULT_ORDER):
-    return buchberger(quadrics().as_list(), order)
+@functools.cache
+def groebner_basis():
+    """The reduced degrevlex Groebner basis of (q1, q2, q3), computed once.
+
+    The quadrics are the 2x2 minors of [[x, x12, x21], [y, y12, y21]] up
+    to units, and the maximal minors of a generic matrix form a universal
+    Groebner basis (Sturmfels & Zelevinsky 1993), so this is those three
+    minors made monic; Buchberger stays the reference that derives it.
+    """
+    return tuple(buchberger(quadrics().as_list(), DEFAULT_ORDER))
 
 
 @dataclass(frozen=True)
@@ -279,7 +287,7 @@ def relation_certificate():
     lhs = z * z - z1 * z2
     rhs = qs.q1 * qs.q1 + qs.q2 * qs.q3
     identity_holds = lhs == rhs
-    basis = buchberger(qs.as_list(), DEFAULT_ORDER)
+    basis = groebner_basis()
     nf = normal_form(lhs, basis, DEFAULT_ORDER)
     normal_form_zero = not nf
     if not (identity_holds and normal_form_zero):
@@ -288,7 +296,7 @@ def relation_certificate():
             f"(identity: {identity_holds}, normal form: {normal_form_zero})"
         )
     return RelationCertificate(
-        identity_holds, normal_form_zero, lhs, rhs, tuple(basis), inv
+        identity_holds, normal_form_zero, lhs, rhs, basis, inv
     )
 
 

@@ -16,20 +16,10 @@ def identity(one, zero):
     return ((one, zero), (zero, one))
 
 
-def add(m, n):
-    return tuple(
-        tuple(m[i][j] + n[i][j] for j in range(2)) for i in range(2)
-    )
-
-
 def sub(m, n):
     return tuple(
         tuple(m[i][j] - n[i][j] for j in range(2)) for i in range(2)
     )
-
-
-def neg(m):
-    return tuple(tuple(-m[i][j] for j in range(2)) for i in range(2))
 
 
 def mul(m, n):
@@ -39,10 +29,6 @@ def mul(m, n):
         )
         for i in range(2)
     )
-
-
-def scale(c, m):
-    return tuple(tuple(c * m[i][j] for j in range(2)) for i in range(2))
 
 
 def trace(m):

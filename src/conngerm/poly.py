@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _COEFF_TYPES = (int, Fraction)
 
 
@@ -33,28 +31,21 @@ def _to_coeff(c):
 class MonomialOrder:
     """A total, multiplicative, well-founded order on monomials.
 
-    kind is "lex" or "degrevlex".  The variable priority defaults to the
-    given variable tuple; pass ``priority`` to reorder.  ``key`` maps an
-    exponent tuple to a sort key whose maximum picks the leading term.
+    kind is "lex" or "degrevlex"; variable priority follows the given
+    variable tuple.  ``key`` maps an exponent tuple to a sort key whose
+    maximum picks the leading term.
     """
 
-    __slots__ = ("kind", "variables", "_perm")
+    __slots__ = ("kind", "variables")
 
-    def __init__(self, kind, variables, priority=None):
+    def __init__(self, kind, variables):
         if kind not in ("lex", "degrevlex"):
             raise ValueError(f"unknown monomial order kind: {kind!r}")
         self.kind = kind
         self.variables = tuple(variables)
-        if priority is None:
-            self._perm = tuple(range(len(self.variables)))
-        else:
-            priority = tuple(priority)
-            if sorted(priority) != sorted(self.variables):
-                raise ValueError("priority must be a permutation of the variables")
-            self._perm = tuple(self.variables.index(v) for v in priority)
 
     def key(self, exponent):
-        e = tuple(exponent[i] for i in self._perm)
+        e = tuple(exponent)
         if self.kind == "lex":
             return e
         # degrevlex: higher total degree wins; ties broken by the
@@ -67,9 +58,6 @@ class MonomialOrder:
             raise ValueError("zero polynomial has no leading term")
         exp = max(poly.terms, key=self.key)
         return exp, poly.terms[exp]
-
-    def sorted_exponents(self, poly, reverse=True):
-        return sorted(poly.terms, key=self.key, reverse=reverse)
 
     def __repr__(self):
         return f"MonomialOrder({self.kind!r}, {self.variables!r})"
@@ -318,17 +306,6 @@ def ring(names):
     else:
         names = tuple(names)
     return tuple(MPoly.gen(names, n) for n in names)
-
-
-def poly_arith(a, b, op):
-    """Dispatch-style arithmetic entry point: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op: {op!r}")
 
 
 # -- division and Groebner bases ---------------------------------------

@@ -20,7 +20,12 @@ string "p/q"; floats are rejected at parse time.  ``kind`` names the
 scenario's home module family; individual checks may call any operation
 whose name is unambiguous (or qualify it as "family.op"), so one
 scenario can bundle the handful of facts that belong to one geometric
-situation.  ``expect`` lists the outputs to pin; comparison is exact
+situation.  Each operation declares its arguments once, in its
+``@_handler`` registration: a decoder per name, plus a default when the
+argument is optional.  A missing, unknown or ill-typed argument raises
+ScenarioError naming its path (e.g. ``checks[0].args.variant``); args
+are decoded when a check runs, so a scenario with bad values still
+loads.  ``expect`` lists the outputs to pin; comparison is exact
 equality on the canonical JSON encoding.  Reports are deterministic:
 two runs of one scenario produce byte-identical JSON (timing lives
 outside the serialized report).
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import cohomology, deformation, diffop, kuranishi, stability
+from . import cohomology, deformation, diffop, kuranishi, mat2, stability
 from .kuranishi import MatPair
 from .poly import MPoly
 from .series import TruncationExhausted, TruncLaurent
@@ -68,9 +73,17 @@ def parse_json_exact(text):
         raise ScenarioError(
             f"JSON parse error: {e.msg}", f"line {e.lineno} column {e.colno}"
         ) from e
+    except (ValueError, RecursionError) as e:
+        # an integer literal past the int-string digit limit, or nesting
+        # deeper than the decoder's recursion limit
+        raise ScenarioError(f"JSON parse error: {e}") from e
 
 
 # -- value decoding -------------------------------------------------------
+#
+# A decoder takes (value, path) and returns the decoded value, or raises
+# ScenarioError at that path.  A spec maps each field of an object to its
+# decoder, or to (decoder, default) when the field is optional.
 
 
 def _rat(v, path):
@@ -116,10 +129,50 @@ def _list(v, path):
     return v
 
 
-def _only_keys(d, allowed, path):
-    extra = set(d) - set(allowed)
+def _fields(spec, v, path):
+    """Decode the object v against spec into a dict of decoded fields.
+    Unknown keys, missing required fields and ill-typed values are
+    ScenarioErrors naming their path."""
+    d = _dict(v, path)
+    extra = set(d) - set(spec)
     if extra:
         raise ScenarioError(f"unknown keys {sorted(extra)}", path)
+    out = {}
+    for name, entry in spec.items():
+        decode, *default = entry if isinstance(entry, tuple) else (entry,)
+        if name in d:
+            out[name] = decode(d[name], f"{path}.{name}")
+        elif default:
+            out[name] = default[0]
+        else:
+            raise ScenarioError(f"missing field {name!r}", path)
+    return out
+
+
+def _list_of(decode):
+    def decode_list(v, path):
+        return [decode(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path))]
+
+    return decode_list
+
+
+def _optional(decode):
+    """decode, letting an explicit null through as None."""
+    return lambda v, path: None if v is None else decode(v, path)
+
+
+def _record(cls, **spec):
+    """Decoder of an object whose decoded fields build cls(**fields); a
+    value the constructor rejects is malformed input at the object."""
+
+    def decode(v, path):
+        fields = _fields(spec, v, path)
+        try:
+            return cls(**fields)
+        except ValueError as e:
+            raise ScenarioError(str(e), path)
+
+    return decode
 
 
 def _matrix2(v, path):
@@ -132,46 +185,43 @@ def _matrix2(v, path):
     )
 
 
+def _domain(v, path):
+    if v == "m2":
+        return cohomology.M2_BASIS
+    if v == "upper":
+        return cohomology.UPPER_TRIANGULAR_BASIS
+    return tuple(_list_of(_matrix2)(v, path))
+
+
 def _descriptor(v, path):
     d = _dict(v, path)
-    if set(d) == {"leaf"}:
-        leaf = _dict(d["leaf"], path + ".leaf")
-        _only_keys(leaf, ("degree", "trivial"), path + ".leaf")
-        return cohomology.Leaf(
-            _int(leaf["degree"], path + ".leaf.degree"),
-            _bool(leaf.get("trivial", False), path + ".leaf.trivial"),
+    if len(d) != 1 or next(iter(d)) not in _DESCRIPTORS:
+        raise ScenarioError(
+            "descriptor must be exactly one of {\"leaf\": ...}, {\"ext\": ...}, "
+            "{\"sum\": [...]}", path
         )
-    if set(d) == {"ext"}:
-        ext = _dict(d["ext"], path + ".ext")
-        _only_keys(ext, ("left", "right", "boundary_rank"), path + ".ext")
-        return cohomology.Extension(
-            _descriptor(ext["left"], path + ".ext.left"),
-            _descriptor(ext["right"], path + ".ext.right"),
-            _int(ext["boundary_rank"], path + ".ext.boundary_rank"),
-        )
-    if set(d) == {"sum"}:
-        parts = _list(d["sum"], path + ".sum")
-        return cohomology.Sum(
-            [_descriptor(p, f"{path}.sum[{i}]") for i, p in enumerate(parts)]
-        )
-    raise ScenarioError(
-        "descriptor must be exactly one of {\"leaf\": ...}, {\"ext\": ...}, "
-        "{\"sum\": [...]}", path
-    )
+    [(key, body)] = d.items()
+    return _DESCRIPTORS[key](body, f"{path}.{key}")
 
 
-def _numerics(v, path):
-    d = _dict(v, path)
-    _only_keys(d, ("rank", "degree", "genus", "h"), path)
+_DESCRIPTORS = {
+    "leaf": _record(cohomology.Leaf, degree=_int, trivial=(_bool, False)),
+    "ext": _record(cohomology.Extension, left=_descriptor, right=_descriptor,
+                   boundary_rank=_int),
+    "sum": lambda v, path: cohomology.Sum(_list_of(_descriptor)(v, path)),
+}
+
+_SHEAF = {"rank": _int, "degree": _rat, "genus": _int, "h": _int}
+_numerics = _record(stability.SheafNumerics, **_SHEAF)
+_coords = _record(MatPair.from_coords, **dict.fromkeys(kuranishi.COORDS, (_rat, 0)))
+_variant = _record(diffop.LambdaVariant, kind=_str, pole_mult=(_int, 1))
+
+
+def _operator(v, path):
     try:
-        return stability.SheafNumerics(
-            _int(d["rank"], path + ".rank"),
-            _rat(d["degree"], path + ".degree"),
-            _int(d["genus"], path + ".genus"),
-            _int(d["h"], path + ".h"),
-        )
-    except KeyError as e:
-        raise ScenarioError(f"missing field {e.args[0]!r}", path)
+        return diffop.parse_diffop(_str(v, path))
+    except diffop.DiffOpParseError as e:
+        raise ScenarioError(str(e), path)
 
 
 # -- value encoding -------------------------------------------------------
@@ -204,124 +254,85 @@ def _mat_json(m):
 _HANDLERS = {}
 
 
-def _handler(family, op):
+def _handler(family, op, **spec):
+    """Register fn as the operation family.op with its argument spec.  The
+    registered handler decodes a check's args against the spec and calls
+    fn with the decoded values as keywords."""
+
     def deco(fn):
-        _HANDLERS[(family, op)] = fn
+        _HANDLERS[(family, op)] = lambda args, path: fn(**_fields(spec, args, path))
         return fn
 
     return deco
 
 
-@_handler("cohomology", "rr_line")
-def _h_rr_line(args, path):
-    _only_keys(args, ("degree", "trivial"), path)
-    dims = cohomology.rr_line(
-        _int(args["degree"], path + ".degree"),
-        _bool(args.get("trivial", False), path + ".trivial"),
-    )
+def _dims(dims):
     return {"h0": dims.h0, "h1": dims.h1, "chi": dims.chi}
 
 
-@_handler("cohomology", "chase")
-def _h_chase(args, path):
-    _only_keys(args, ("descriptor",), path)
-    dims = cohomology.chase(_descriptor(args["descriptor"], path + ".descriptor"))
-    return {"h0": dims.h0, "h1": dims.h1, "chi": dims.chi}
+@_handler("cohomology", "rr_line", degree=_int, trivial=(_bool, False))
+def _h_rr_line(degree, trivial):
+    return _dims(cohomology.rr_line(degree, trivial))
 
 
-@_handler("cohomology", "hypercoh_dims")
-def _h_hypercoh(args, path):
-    keys = ("h00", "h01", "h10", "h11", "r0", "r1")
-    _only_keys(args, keys, path)
-    vals = [_int(args[k], f"{path}.{k}") for k in keys]
-    inp = cohomology.HyperCohInput(*vals)
-    h0, h1, h2 = cohomology.hypercoh_dims(inp)
+@_handler("cohomology", "chase", descriptor=_descriptor)
+def _h_chase(descriptor):
+    return _dims(cohomology.chase(descriptor))
+
+
+@_handler("cohomology", "hypercoh_dims",
+          **dict.fromkeys(("h00", "h01", "h10", "h11", "r0", "r1"), _int))
+def _h_hypercoh(**dims):
+    h0, h1, h2 = cohomology.hypercoh_dims(cohomology.HyperCohInput(**dims))
     return {"H0": h0, "H1": h1, "H2": h2}
 
 
-@_handler("cohomology", "d1_rank")
-def _h_d1_rank(args, path):
-    _only_keys(args, ("matrix", "domain"), path)
-    a = _matrix2(args["matrix"], path + ".matrix")
-    domain = args.get("domain", "m2")
-    if domain == "m2":
-        basis = cohomology.M2_BASIS
-    elif domain == "upper":
-        basis = cohomology.UPPER_TRIANGULAR_BASIS
-    else:
-        basis = tuple(
-            _matrix2(b, f"{path}.domain[{i}]")
-            for i, b in enumerate(_list(domain, path + ".domain"))
-        )
-    return {"rank": cohomology.d1_rank(a, basis)}
+@_handler("cohomology", "d1_rank",
+          matrix=_matrix2, domain=(_domain, cohomology.M2_BASIS))
+def _h_d1_rank(matrix, domain):
+    return {"rank": cohomology.d1_rank(matrix, domain)}
 
 
-@_handler("cohomology", "fiber_dimension")
-def _h_fiber_dimension(args, path):
-    _only_keys(args, ("r", "g", "degD"), path)
+@_handler("cohomology", "fiber_dimension", r=_int, g=_int, degD=_int)
+def _h_fiber_dimension(r, g, degD):
+    return {"dimension": cohomology.fiber_dimension(r, g, degD)}
+
+
+@_handler("cohomology", "connection_exists",
+          r=_int, d=_int, degD=_int, semistable=_bool)
+def _h_connection_exists(r, d, degD, semistable):
+    return {"exists": cohomology.connection_exists(r, d, degD, semistable)}
+
+
+def _ob2_json(result):
     return {
-        "dimension": cohomology.fiber_dimension(
-            _int(args["r"], path + ".r"),
-            _int(args["g"], path + ".g"),
-            _int(args["degD"], path + ".degD"),
-        )
-    }
-
-
-@_handler("cohomology", "connection_exists")
-def _h_connection_exists(args, path):
-    _only_keys(args, ("r", "d", "degD", "semistable"), path)
-    return {
-        "exists": cohomology.connection_exists(
-            _int(args["r"], path + ".r"),
-            _int(args["d"], path + ".d"),
-            _int(args["degD"], path + ".degD"),
-            _bool(args["semistable"], path + ".semistable"),
-        )
+        "commutator": _mat_json(result.commutator),
+        "q": [canonical(q) for q in result.q_values],
     }
 
 
 @_handler("kuranishi", "ob2_symbolic")
-def _h_ob2_symbolic(args, path):
-    _only_keys(args, (), path)
+def _h_ob2_symbolic():
     result = kuranishi.ob2(kuranishi.symbolic_pair())
     involves_trace = any(
-        e.involves("x0") or e.involves("y0")
-        for e in (result.commutator[0][0], result.commutator[0][1],
-                  result.commutator[1][0], result.commutator[1][1])
+        e.involves("x0") or e.involves("y0") for e in mat2.entries(result.commutator)
     )
-    return {
-        "commutator": _mat_json(result.commutator),
-        "q": [canonical(q) for q in result.q_values],
-        "involves_trace_vars": involves_trace,
-    }
+    return {**_ob2_json(result), "involves_trace_vars": involves_trace}
 
 
-@_handler("kuranishi", "ob2_at")
-def _h_ob2_at(args, path):
-    _only_keys(args, ("coords",), path)
-    coords = _dict(args["coords"], path + ".coords")
-    _only_keys(coords, kuranishi.COORDS, path + ".coords")
-    pair = MatPair.from_coords(
-        **{k: _rat(v, f"{path}.coords.{k}") for k, v in coords.items()}
-    )
-    result = kuranishi.ob2(pair)
-    return {
-        "commutator": _mat_json(result.commutator),
-        "q": [canonical(q) for q in result.q_values],
-    }
+@_handler("kuranishi", "ob2_at", coords=_coords)
+def _h_ob2_at(coords):
+    return _ob2_json(kuranishi.ob2(coords))
 
 
-@_handler("kuranishi", "segre")
-def _h_segre(args, path):
-    _only_keys(args, ("xi", "lam", "symbolic"), path)
-    if args.get("symbolic", False):
+@_handler("kuranishi", "segre", xi=(_list_of(_rat), None),
+          lam=(_list_of(_rat), None), symbolic=(_bool, False))
+def _h_segre(xi, lam, symbolic):
+    if symbolic:
         point = kuranishi.segre_check_symbolic()
+    elif xi is None or lam is None:
+        raise ValueError("segre needs both xi and lam, or symbolic: true")
     else:
-        xi = [_rat(v, f"{path}.xi[{i}]") for i, v in
-              enumerate(_list(args["xi"], path + ".xi"))]
-        lam = [_rat(v, f"{path}.lam[{i}]") for i, v in
-               enumerate(_list(args["lam"], path + ".lam"))]
         point = kuranishi.segre_check(xi, lam)
     return {
         "s": [canonical(c) for c in point.s],
@@ -331,20 +342,17 @@ def _h_segre(args, path):
     }
 
 
-@_handler("kuranishi", "count_points")
-def _h_count_points(args, path):
-    _only_keys(args, ("prime",), path)
-    p = _int(args["prime"], path + ".prime")
+@_handler("kuranishi", "count_points", prime=_int)
+def _h_count_points(prime):
     return {
-        "prime": p,
-        "count": kuranishi.count_points_mod_p(p),
-        "closed_form": kuranishi.closed_form_count(p),
+        "prime": prime,
+        "count": kuranishi.count_points_mod_p(prime),
+        "closed_form": kuranishi.closed_form_count(prime),
     }
 
 
 @_handler("kuranishi", "relation_certificate")
-def _h_relation_certificate(args, path):
-    _only_keys(args, (), path)
+def _h_relation_certificate():
     cert = kuranishi.relation_certificate()
     return {
         "identity_holds": cert.identity_holds,
@@ -356,15 +364,9 @@ def _h_relation_certificate(args, path):
     }
 
 
-@_handler("git", "psi")
-def _h_psi(args, path):
-    _only_keys(args, ("coords",), path)
-    coords = _dict(args["coords"], path + ".coords")
-    _only_keys(coords, kuranishi.COORDS, path + ".coords")
-    pair = MatPair.from_coords(
-        **{k: _rat(v, f"{path}.coords.{k}") for k, v in coords.items()}
-    )
-    inv = kuranishi.psi(pair)
+@_handler("git", "psi", coords=_coords)
+def _h_psi(coords):
+    inv = kuranishi.psi(coords)
     return {
         "z": canonical(inv.z),
         "z1": canonical(inv.z1),
@@ -373,12 +375,9 @@ def _h_psi(args, path):
     }
 
 
-@_handler("git", "orbits")
-def _h_orbits(args, path):
-    _only_keys(args, ("z1", "z2"), path)
-    sep = kuranishi.orbit_separation(
-        _rat(args["z1"], path + ".z1"), _rat(args["z2"], path + ".z2")
-    )
+@_handler("git", "orbits", z1=_rat, z2=_rat)
+def _h_orbits(z1, z2):
+    sep = kuranishi.orbit_separation(z1, z2)
     return {
         "count": sep.count,
         "z_values": [canonical(z) for z in sep.z_values],
@@ -390,11 +389,9 @@ def _h_orbits(args, path):
     }
 
 
-@_handler("git", "fiber")
-def _h_fiber(args, path):
-    _only_keys(args, ("along",), path)
-    along = args.get("along", "z2")
-    restriction = kuranishi.fiber_multiplicity(_str(along, path + ".along"))
+@_handler("git", "fiber", along=(_str, "z2"))
+def _h_fiber(along):
+    restriction = kuranishi.fiber_multiplicity(along)
     return {
         "cone": canonical(restriction.cone),
         "restricted_along": list(restriction.restricted_along),
@@ -404,19 +401,14 @@ def _h_fiber(args, path):
     }
 
 
-@_handler("deform", "congruence")
-def _h_congruence(args, path):
-    _only_keys(args, ("order", "ztrunc", "g2", "g3"), path)
-    k = _int(args["order"], path + ".order")
-    n = _int(args["ztrunc"], path + ".ztrunc")
-    wp = deformation.wp_series(
-        _rat(args["g2"], path + ".g2"), _rat(args["g3"], path + ".g3"), n
-    )
-    cocycle = deformation.build_cocycle(k, n, wp)
-    report = deformation.congruence_check(cocycle, k)
+@_handler("deform", "congruence", order=_int, ztrunc=_int, g2=_rat, g3=_rat)
+def _h_congruence(order, ztrunc, g2, g3):
+    wp = deformation.wp_series(g2, g3, ztrunc)
+    cocycle = deformation.build_cocycle(order, ztrunc, wp)
+    report = deformation.congruence_check(cocycle, order)
     return {
-        "order": k,
-        "ztrunc": n,
+        "order": order,
+        "ztrunc": ztrunc,
         "ok": report.ok,
         "degrees": [
             {
@@ -430,29 +422,16 @@ def _h_congruence(args, path):
     }
 
 
-@_handler("deform", "wp_coeffs")
-def _h_wp_coeffs(args, path):
-    _only_keys(args, ("g2", "g3", "ztrunc", "exponents"), path)
-    wp = deformation.wp_series(
-        _rat(args["g2"], path + ".g2"),
-        _rat(args["g3"], path + ".g3"),
-        _int(args["ztrunc"], path + ".ztrunc"),
-    )
-    exps = [_int(e, f"{path}.exponents[{i}]")
-            for i, e in enumerate(_list(args["exponents"], path + ".exponents"))]
-    return {"coeffs": {str(e): canonical(wp.series.coeff(e)) for e in exps}}
+@_handler("deform", "wp_coeffs",
+          g2=_rat, g3=_rat, ztrunc=_int, exponents=_list_of(_int))
+def _h_wp_coeffs(g2, g3, ztrunc, exponents):
+    wp = deformation.wp_series(g2, g3, ztrunc)
+    return {"coeffs": {str(e): canonical(wp.series.coeff(e)) for e in exponents}}
 
 
-@_handler("deform", "phi_cochain")
-def _h_phi_cochain(args, path):
-    _only_keys(args, ("k", "g2", "g3", "ztrunc"), path)
-    wp = deformation.wp_series(
-        _rat(args["g2"], path + ".g2"),
-        _rat(args["g3"], path + ".g3"),
-        _int(args["ztrunc"], path + ".ztrunc"),
-    )
-    k = _int(args["k"], path + ".k")
-    cochain = deformation.phi_cochain(k, wp)
+@_handler("deform", "phi_cochain", k=_int, g2=_rat, g3=_rat, ztrunc=_int)
+def _h_phi_cochain(k, g2, g3, ztrunc):
+    cochain = deformation.phi_cochain(k, deformation.wp_series(g2, g3, ztrunc))
     diff = cochain.phi_beta - cochain.phi_alpha
     return {
         "k": k,
@@ -462,37 +441,18 @@ def _h_phi_cochain(args, path):
     }
 
 
-@_handler("diffop", "normalize")
-def _h_normalize(args, path):
-    _only_keys(args, ("expr",), path)
-    try:
-        op = diffop.parse_diffop(_str(args["expr"], path + ".expr"))
-    except diffop.DiffOpParseError as e:
-        raise ScenarioError(str(e), path + ".expr")
-    order = op.order()
+@_handler("diffop", "normalize", expr=_operator)
+def _h_normalize(expr):
+    order = expr.order()
     return {
-        "normal_form": diffop.render(op),
+        "normal_form": diffop.render(expr),
         "order": None if order == diffop.NEG_INF else order,
     }
 
 
-@_handler("diffop", "membership")
-def _h_membership(args, path):
-    _only_keys(args, ("expr", "variant"), path)
-    try:
-        op = diffop.parse_diffop(_str(args["expr"], path + ".expr"))
-    except diffop.DiffOpParseError as e:
-        raise ScenarioError(str(e), path + ".expr")
-    vd = _dict(args["variant"], path + ".variant")
-    _only_keys(vd, ("kind", "pole_mult"), path + ".variant")
-    try:
-        variant = diffop.LambdaVariant(
-            _str(vd["kind"], path + ".variant.kind"),
-            _int(vd.get("pole_mult", 1), path + ".variant.pole_mult"),
-        )
-        result = diffop.lambda_membership(op, variant)
-    except ValueError as e:
-        raise ScenarioError(str(e), path + ".variant")
+@_handler("diffop", "membership", expr=_operator, variant=_variant)
+def _h_membership(expr, variant):
+    result = diffop.lambda_membership(expr, variant)
     return {
         "member": result.member,
         "certificate": result.certificate_str(),
@@ -500,18 +460,9 @@ def _h_membership(args, path):
     }
 
 
-@_handler("stability", "verdict")
-def _h_verdict(args, path):
-    _only_keys(args, ("E", "subs"), path)
-    ambient = _numerics(args["E"], path + ".E")
-    subs = [
-        _numerics(s, f"{path}.subs[{i}]")
-        for i, s in enumerate(_list(args["subs"], path + ".subs"))
-    ]
-    try:
-        v = stability.stability_verdict(ambient, subs)
-    except ValueError as e:
-        raise ScenarioError(str(e), path)
+@_handler("stability", "verdict", E=_numerics, subs=_list_of(_numerics))
+def _h_verdict(E, subs):
+    v = stability.stability_verdict(E, subs)
     return {
         "hilbert": v.hilbert,
         "hilbert_witness": v.hilbert_witness,
@@ -521,15 +472,9 @@ def _h_verdict(args, path):
     }
 
 
-@_handler("stability", "chain")
-def _h_chain(args, path):
-    _only_keys(args, ("E", "subs"), path)
-    ambient = _numerics(args["E"], path + ".E")
-    subs = [
-        _numerics(s, f"{path}.subs[{i}]")
-        for i, s in enumerate(_list(args["subs"], path + ".subs"))
-    ]
-    report = stability.implication_chain_check(ambient, subs)
+@_handler("stability", "chain", E=_numerics, subs=_list_of(_numerics))
+def _h_chain(E, subs):
+    report = stability.implication_chain_check(E, subs)
     return {
         "mu_stable": report.mu_stable,
         "stable": report.stable,
@@ -540,15 +485,9 @@ def _h_chain(args, path):
     }
 
 
-@_handler("stability", "hilbert_poly")
-def _h_hilbert_poly(args, path):
-    _only_keys(args, ("rank", "degree", "genus", "h"), path)
-    p = stability.hilbert_poly_curve(
-        _int(args["rank"], path + ".rank"),
-        _rat(args["degree"], path + ".degree"),
-        _int(args["genus"], path + ".genus"),
-        _int(args["h"], path + ".h"),
-    )
+@_handler("stability", "hilbert_poly", **_SHEAF)
+def _h_hilbert_poly(rank, degree, genus, h):
+    p = stability.hilbert_poly_curve(rank, degree, genus, h)
     return {
         "poly": str(p),
         "reduced": str(stability.reduced_poly(p)),
@@ -595,45 +534,35 @@ class Scenario:
     version: int = SCENARIO_VERSION
 
 
+_SCENARIO = {"version": (_int, 0), "name": (_str, ""), "kind": (_str, ""),
+             "checks": (_list, [])}
+_CHECK = {"op": (_str, ""), "args": (_dict, {}), "expect": (_optional(_dict), None),
+          "cite": (_optional(_str), None), "note": (_optional(_str), None)}
+
+
 def scenario_from_obj(obj, source="<memory>"):
-    doc = _dict(obj, source)
-    _only_keys(doc, ("version", "name", "kind", "checks"), source)
-    version = _int(doc.get("version", 0), source + ".version")
-    if version != SCENARIO_VERSION:
+    doc = _fields(_SCENARIO, obj, source)
+    if doc["version"] != SCENARIO_VERSION:
         raise ScenarioError(
-            f"unsupported scenario version {version}", source + ".version"
+            f"unsupported scenario version {doc['version']}", source + ".version"
         )
-    name = _str(doc.get("name", ""), source + ".name")
-    if not name:
+    if not doc["name"]:
         raise ScenarioError("scenario needs a nonempty name", source + ".name")
-    kind = _str(doc.get("kind", ""), source + ".kind")
+    kind = doc["kind"]
     if kind not in KINDS:
         raise ScenarioError(
             f"kind must be one of {', '.join(KINDS)}; got {kind!r}",
             source + ".kind",
         )
-    checks_raw = _list(doc.get("checks", []), source + ".checks")
-    if not checks_raw:
+    if not doc["checks"]:
         raise ScenarioError("scenario needs at least one check", source + ".checks")
     checks = []
-    for i, c in enumerate(checks_raw):
+    for i, c in enumerate(doc["checks"]):
         path = f"{source}.checks[{i}]"
-        c = _dict(c, path)
-        _only_keys(c, ("op", "args", "expect", "cite", "note"), path)
-        op = _str(c.get("op", ""), path + ".op")
-        resolve_op(kind, op, path + ".op")  # fail fast on unknown ops
-        args = _dict(c.get("args", {}), path + ".args")
-        expect = c.get("expect")
-        if expect is not None:
-            expect = _dict(expect, path + ".expect")
-        cite = c.get("cite")
-        if cite is not None:
-            cite = _str(cite, path + ".cite")
-        note = c.get("note")
-        if note is not None:
-            note = _str(note, path + ".note")
-        checks.append(Check(op, args, expect, cite, note))
-    return Scenario(name, kind, tuple(checks), version)
+        c = _fields(_CHECK, c, path)
+        resolve_op(kind, c["op"], path + ".op")  # fail fast on unknown ops
+        checks.append(Check(**c))
+    return Scenario(doc["name"], kind, tuple(checks), doc["version"])
 
 
 def load_scenario(path):

@@ -262,18 +262,3 @@ class TruncLaurent:
     def __repr__(self):
         return f"TruncLaurent({str(self)})"
 
-
-def laurent_arith(a, b, op):
-    """Dispatch-style entry point: op in {add, mul, diff}.
-
-    diff takes a single operand; pass b=None.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "diff":
-        if b is not None:
-            raise ValueError("diff takes a single operand")
-        return a.diff()
-    raise ValueError(f"unknown op: {op!r}")

@@ -29,8 +29,6 @@ from fractions import Fraction
 
 LT, EQ, GT = -1, 0, 1
 
-_VERDICTS = ("stable", "strictly-semistable", "semistable", "unstable")
-
 
 def _fr(x):
     if isinstance(x, Fraction):

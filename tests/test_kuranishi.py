@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conngerm.deformation import build_cocycle, wp_series
 from conngerm.kuranishi import (
     COORDS,
     DEFAULT_ORDER,
@@ -31,7 +32,7 @@ from conngerm.kuranishi import (
     symbolic_pair,
 )
 from conngerm.mat2 import commutator, mat
-from conngerm.poly import MPoly, is_groebner, normal_form, ring
+from conngerm.poly import MPoly, buchberger, is_groebner, normal_form, ring
 
 rng = random.Random(60617)
 
@@ -284,3 +285,15 @@ def test_cone_polynomial_and_fiber():
     assert other.multiplicity == 2
     with pytest.raises(ValueError):
         fiber_multiplicity("z")
+
+
+def test_one_quadric_basis():
+    gb = groebner_basis()
+    assert groebner_basis() is gb
+    assert build_cocycle(1, 5, wp_series(4, 0, 5)).basis is gb
+    assert relation_certificate().basis is gb
+    assert list(gb) == buchberger(quadrics().as_list(), DEFAULT_ORDER)
+    # the maximal minors of [[x, x12, x21], [y, y12, y21]], made monic
+    minors = [X * Y12 - X12 * Y, X * Y21 - X21 * Y, X12 * Y21 - X21 * Y12]
+    monic = {m * (1 / DEFAULT_ORDER.leading(m)[1]) for m in minors}
+    assert set(gb) == monic and len(gb) == 3

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conngerm.cli import main
 from conngerm.poly import MPoly
 from conngerm.scenarios import (
     Check,
@@ -221,3 +222,44 @@ def test_in_memory_scenario_objects():
     assert report.passed
     obj = report.to_obj()
     assert obj["checks"][0]["computed"]["order"] == 1
+
+
+def test_run_all_isolates_oversized_and_deeply_nested_files(tmp_path, capsys):
+    good = bundled_dir() / "point_counts.json"
+    (tmp_path / "a_good.json").write_text(good.read_text())
+    huge = tmp_path / "b_huge_int.json"
+    huge.write_text(
+        '{"version": 1, "name": "huge", "kind": "kuranishi", "checks": '
+        '[{"op": "count_points", "args": {"prime": ' + "7" * 5000 + "}}]}"
+    )
+    deep = tmp_path / "c_deep.json"
+    deep.write_text("[" * 100000)
+    agg = run_all(tmp_path)
+    assert not agg.passed
+    by_name = {r.scenario: r for r in agg.reports}
+    assert by_name["point_counts"].passed
+    for name in ("b_huge_int.json", "c_deep.json"):
+        assert not by_name[name].passed and by_name[name].error
+    json.loads(agg.to_json())
+    for f in (huge, deep):
+        assert main(["run", str(f)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "op, args, message",
+    [
+        ("segre", {"symbolic": "no"},
+         "expected a boolean, got 'no' (at checks[0].args.symbolic)"),
+        ("rr_line", {"trivial": True},
+         "missing field 'degree' (at checks[0].args)"),
+        ("membership", {"expr": "z*d", "variant": {"pole_mult": 2}},
+         "missing field 'kind' (at checks[0].args.variant)"),
+    ],
+    ids=["segre-symbolic-not-bool", "rr_line-no-degree", "membership-no-kind"],
+)
+def test_argument_errors_are_typed_and_named(op, args, message):
+    scenario = scenario_from_obj({**GOOD, "checks": [{"op": op, "args": args}]})
+    with pytest.raises(ScenarioError) as err:
+        run_scenario_obj(scenario)
+    assert str(err.value) == message
