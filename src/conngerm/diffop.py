@@ -101,12 +101,10 @@ class DiffOp:
         if other is None:
             return NotImplemented
         coeffs = dict(self.coeffs)
+        get = coeffs.get
         for k, f in other.coeffs.items():
-            s = coeffs.get(k, z_const(0)) + f
-            if s:
-                coeffs[k] = s
-            else:
-                coeffs.pop(k, None)
+            s = get(k)
+            coeffs[k] = f if s is None else s + f
         return DiffOp(coeffs)
 
     __radd__ = __add__
@@ -128,19 +126,19 @@ class DiffOp:
         if other is None:
             return NotImplemented
         coeffs = {}
+        get = coeffs.get
         for a, f in self.coeffs.items():
             for b, g in other.coeffs.items():
                 gj = g
                 for j in range(a + 1):
                     if not gj:
                         break
-                    c = f * gj * math.comb(a, j)
+                    c = f * gj
+                    if j:
+                        c = c * math.comb(a, j)
                     k = a + b - j
-                    s = coeffs.get(k, z_const(0)) + c
-                    if s:
-                        coeffs[k] = s
-                    else:
-                        coeffs.pop(k, None)
+                    s = get(k)
+                    coeffs[k] = c if s is None else s + c
                     gj = gj.derivative("z")
         return DiffOp(coeffs)
 

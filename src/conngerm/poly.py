@@ -11,11 +11,21 @@ the order's variable tuple.  Multivariate division (``normal_form``) and
 Buchberger's algorithm provide ideal-membership tests for the small
 determinantal-type ideals that occur here (at most eight variables,
 quadratic generators), so no external computer-algebra system is needed.
+
+Invariant.  Every MPoly holds a clean term dict: tuple keys of length
+len(variables) whose entries are nonnegative ints, and nonzero Fraction
+values.  The public constructor ``MPoly(variables, terms)`` is the one
+place that establishes it from arbitrary input.  Arithmetic inside this
+module keeps it by construction and wraps its results with
+``MPoly._trusted``, which neither copies nor checks; anything passed to
+``_trusted`` must already be clean.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 _COEFF_TYPES = (int, Fraction)
 
@@ -26,6 +36,20 @@ def _to_coeff(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+
+
+def _to_exponent(exp, n):
+    exp = tuple(exp)
+    if len(exp) != n:
+        raise ValueError(f"exponent {exp} does not match {n} variables")
+    for e in exp:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise TypeError(
+                f"exponent entries must be integers, got {type(e).__name__}"
+            )
+        if e < 0:
+            raise ValueError(f"exponent {exp} has a negative entry")
+    return exp
 
 
 class MonomialOrder:
@@ -50,7 +74,15 @@ class MonomialOrder:
             return e
         # degrevlex: higher total degree wins; ties broken by the
         # smallest last-variable share (reversed, negated exponents).
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e), tuple(map(neg, reversed(e))))
+
+    def descending_key(self, exponent):
+        """Sort key that puts larger monomials first: sorting ascending
+        by it gives descending ``key`` order.  A min-heap key."""
+        e = tuple(exponent)
+        if self.kind == "lex":
+            return tuple(map(neg, e))
+        return (-sum(e), e[::-1])
 
     def leading(self, poly):
         """Leading (exponent, coefficient) of a nonzero polynomial."""
@@ -66,9 +98,9 @@ class MonomialOrder:
 class MPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    terms maps exponent tuples (one entry per variable) to nonzero
-    Fraction coefficients.  Instances are immutable by convention: no
-    method mutates ``self`` after construction.
+    terms maps exponent tuples (one nonnegative int per variable) to
+    nonzero Fraction coefficients.  Instances are immutable by
+    convention: no method mutates ``self`` after construction.
     """
 
     __slots__ = ("variables", "terms")
@@ -78,17 +110,25 @@ class MPoly:
         n = len(self.variables)
         clean = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != n:
-                raise ValueError(
-                    f"exponent {exp} does not match {n} variables"
-                )
+            exp = _to_exponent(exp, n)
             c = _to_coeff(c)
             if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
+                s = clean.get(exp)
+                s = c if s is None else s + c
+                if s:
+                    clean[exp] = s
+                else:
                     del clean[exp]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """Wrap a term dict that already satisfies the module invariant;
+        ``variables`` must be a tuple.  Nothing is checked or copied."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -128,42 +168,66 @@ class MPoly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
+            s = get(exp)
+            if s is None:
+                terms[exp] = c
             else:
-                terms.pop(exp, None)
-        return MPoly(self.variables, terms)
+                s += c
+                if s:
+                    terms[exp] = s
+                else:
+                    del terms[exp]
+        return MPoly._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        get = terms.get
+        for exp, c in other.terms.items():
+            s = get(exp)
+            if s is None:
+                terms[exp] = -c
+            else:
+                s -= c
+                if s:
+                    terms[exp] = s
+                else:
+                    del terms[exp]
+        return MPoly._trusted(self.variables, terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _COEFF_TYPES):
+            c = _to_coeff(other)
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            return MPoly._trusted(self.variables, terms)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = {}
+        get = terms.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return MPoly(self.variables, terms)
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                s = get(exp)
+                terms[exp] = c1 * c2 if s is None else s + c1 * c2
+        return MPoly._trusted(
+            self.variables, {e: c for e, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -232,7 +296,7 @@ class MPoly:
                 new = list(exp)
                 new[i] -= 1
                 terms[tuple(new)] = c * exp[i]
-        return MPoly(self.variables, terms)
+        return MPoly._trusted(self.variables, terms)
 
     def evaluate(self, values):
         """Fully evaluate; values maps every occurring variable name to a
@@ -312,18 +376,16 @@ def ring(names):
 
 
 def _monomial_divides(d, e):
-    return all(a <= b for a, b in zip(d, e))
+    return all(map(le, d, e))
 
 
 def _monomial_lcm(d, e):
-    return tuple(max(a, b) for a, b in zip(d, e))
+    return tuple(map(max, d, e))
 
 
 def _monomial_mul_poly(exp, c, p):
-    terms = {}
-    for e, pc in p.terms.items():
-        terms[tuple(a + b for a, b in zip(exp, e))] = c * pc
-    return MPoly(p.variables, terms)
+    terms = {tuple(map(add, exp, e)): c * pc for e, pc in p.terms.items()}
+    return MPoly._trusted(p.variables, terms)
 
 
 def normal_form(f, basis, order):
@@ -333,6 +395,13 @@ def normal_form(f, basis, order):
     the basis.  When basis is a Groebner basis, the remainder is the
     canonical representative of f modulo the ideal, and f lies in the
     ideal iff the remainder is zero.
+
+    The division runs on one mutable term dict: each step removes the
+    leading term and either subtracts the matching multiple of a basis
+    element's tail in place or moves the term to the remainder.  A heap
+    finds the leading term.  Every term a step adds is smaller than the
+    term it removed, so an exponent never returns once it has been
+    handled, and a heap entry whose term has since cancelled is skipped.
     """
     basis = [g for g in basis if g]
     if not basis:
@@ -340,37 +409,57 @@ def normal_form(f, basis, order):
     for g in basis:
         if g.variables != f.variables:
             raise ValueError("basis/argument variable mismatch")
-    leads = [order.leading(g) for g in basis]
-    p = f
-    remainder = MPoly.zero(f.variables)
-    while p:
-        exp, c = order.leading(p)
-        for g, (gexp, gc) in zip(basis, leads):
+    divisors = []
+    for g in basis:
+        gexp, gc = order.leading(g)
+        tail = [(e, c) for e, c in g.terms.items() if e != gexp]
+        divisors.append((gexp, gc, tail))
+    rank = order.descending_key
+    p = dict(f.terms)
+    get = p.get
+    heap = [(rank(e), e) for e in p]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        exp = heappop(heap)[1]
+        c = p.pop(exp, None)
+        if c is None:
+            continue  # cancelled after it was queued
+        for gexp, gc, tail in divisors:
             if _monomial_divides(gexp, exp):
-                q = tuple(a - b for a, b in zip(exp, gexp))
-                p = p - _monomial_mul_poly(q, c / gc, g)
+                # the leading terms cancel exactly; subtract the tail
+                q = tuple(map(sub, exp, gexp))
+                m = c / gc
+                for e, tc in tail:
+                    e = tuple(map(add, q, e))
+                    s = get(e)
+                    if s is None:
+                        p[e] = -m * tc
+                        heappush(heap, (rank(e), e))
+                    else:
+                        s -= m * tc
+                        if s:
+                            p[e] = s
+                        else:
+                            del p[e]
                 break
         else:
-            t = MPoly(f.variables, {exp: c})
-            remainder = remainder + t
-            p = p - t
-    return remainder
+            remainder[exp] = c
+    return MPoly._trusted(f.variables, remainder)
 
 
 def s_polynomial(f, g, order):
     fe, fc = order.leading(f)
     ge, gc = order.leading(g)
     lcm = _monomial_lcm(fe, ge)
-    uf = tuple(a - b for a, b in zip(lcm, fe))
-    ug = tuple(a - b for a, b in zip(lcm, ge))
-    return _monomial_mul_poly(uf, Fraction(1) / fc, f) - _monomial_mul_poly(
-        ug, Fraction(1) / gc, g
-    )
+    return _monomial_mul_poly(
+        tuple(map(sub, lcm, fe)), 1 / fc, f
+    ) - _monomial_mul_poly(tuple(map(sub, lcm, ge)), 1 / gc, g)
 
 
 def _monic(f, order):
     _, c = order.leading(f)
-    return f * (Fraction(1) / c)
+    return f * (1 / c)
 
 
 def buchberger(generators, order):

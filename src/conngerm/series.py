@@ -135,12 +135,10 @@ class TruncLaurent:
             return NotImplemented
         t = _min_trunc(self.trunc, other.trunc)
         coeffs = dict(self.coeffs)
+        get = coeffs.get
         for k, c in other.coeffs.items():
-            s = coeffs.get(k, Fraction(0)) + c
-            if s:
-                coeffs[k] = s
-            else:
-                coeffs.pop(k, None)
+            s = get(k)
+            coeffs[k] = c if s is None else s + c
         return TruncLaurent(self.var, coeffs, t)
 
     __radd__ = __add__
@@ -174,16 +172,14 @@ class TruncLaurent:
         if other.trunc is not None:
             t = _min_trunc(t, other.trunc + va)
         coeffs = {}
+        get = coeffs.get
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 if t is not None and k >= t:
                     continue
-                s = coeffs.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    coeffs[k] = s
-                else:
-                    coeffs.pop(k, None)
+                s = get(k)
+                coeffs[k] = c1 * c2 if s is None else s + c1 * c2
         return TruncLaurent(self.var, coeffs, t)
 
     __rmul__ = __mul__

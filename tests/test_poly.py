@@ -234,3 +234,86 @@ def test_buchberger_random_spolys_reduce():
 def test_is_groebner_detects_incomplete_basis():
     order = MonomialOrder("lex", VARS)
     assert not is_groebner([X**2 - Y, X * Y - Z], order)
+
+
+@pytest.mark.parametrize(
+    "exp, error",
+    [
+        ((-1,), ValueError),
+        ((1.5,), TypeError),
+        ((True,), TypeError),
+        ((Fraction(1),), TypeError),
+    ],
+)
+def test_constructor_rejects_non_polynomial_exponents(exp, error):
+    with pytest.raises(error):
+        MPoly(("x",), {exp: 1})
+    with pytest.raises(error):
+        MPoly(VARS, {(0, 0) + exp: 1})
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+def test_descending_key_reverses_key(kind):
+    order = MonomialOrder(kind, VARS)
+    local = random.Random(31)
+    exps = list({tuple(local.randint(0, 4) for _ in VARS) for _ in range(200)})
+    by_key = sorted(exps, key=order.key, reverse=True)
+    assert sorted(exps, key=order.descending_key) == by_key
+
+
+def _assert_clean(r):
+    """The module invariant that ``MPoly._trusted`` relies on."""
+    n = len(r.variables)
+    assert isinstance(r.variables, tuple)
+    for exp, c in r.terms.items():
+        assert type(exp) is tuple and len(exp) == n
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is Fraction and c != 0
+    assert MPoly(r.variables, r.terms) == r
+
+
+@pytest.mark.parametrize("nvars", [3, 8])
+def test_arithmetic_results_satisfy_invariant(nvars):
+    local = random.Random(7000 + nvars)
+    names = tuple(f"v{i}" for i in range(nvars))
+    order = MonomialOrder("degrevlex", names)
+
+    def rand_coeff():
+        return Fraction(local.randint(-6, 6), local.randint(1, 5))
+
+    def rpoly(nterms, maxdeg):
+        terms = {}
+        for _ in range(nterms):
+            exp = tuple(local.randint(0, maxdeg) if local.random() < 0.5 else 0
+                        for _ in names)
+            terms[exp] = rand_coeff()
+        return MPoly(names, terms)
+
+    def rquadric():
+        # three quadratic terms: a nontrivial, non-unit ideal in any nvars
+        terms = {}
+        for _ in range(3):
+            exp = [0] * nvars
+            for _ in range(2):
+                exp[local.randrange(nvars)] += 1
+            terms[tuple(exp)] = rand_coeff()
+        return MPoly(names, terms)
+
+    for _ in range(40):
+        a, b = rpoly(5, 3), rpoly(5, 3)
+        results = (
+            a + b, a - b, -a, a - a, a * b, (a + b) * (a - b), a**3,
+            a * 0, a * Fraction(2, 3), a.derivative(names[0]),
+            a.derivative(names[-1]),
+        )
+        for r in results:
+            _assert_clean(r)
+    for _ in range(4):
+        gens = [rquadric() for _ in range(3)]
+        _assert_clean(s_polynomial(gens[0], gens[1], order))
+        gb = buchberger(gens, order)
+        assert len(gb) > 1
+        for g in gb:
+            _assert_clean(g)
+        for _ in range(5):
+            _assert_clean(normal_form(rpoly(6, 3), gb, order))
