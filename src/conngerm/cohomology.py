@@ -25,9 +25,9 @@ existence criterion for holomorphic connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mat2
+from .poly import to_fraction
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,8 @@ def hypercoh_dims(inp):
 # -- commutator ranks ----------------------------------------------------
 
 
-def _fr(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _frmat(m):
-    return tuple(tuple(_fr(e) for e in row) for row in m)
+    return tuple(tuple(to_fraction(e) for e in row) for row in m)
 
 
 M2_BASIS = (
@@ -173,7 +169,7 @@ UPPER_TRIANGULAR_BASIS = (
 def rank_exact(rows):
     """Rank of a matrix given as a list of rows of Fractions, by
     fraction-free-enough Gaussian elimination (exact pivots)."""
-    m = [list(map(_fr, row)) for row in rows]
+    m = [list(map(to_fraction, row)) for row in rows]
     rank = 0
     cols = len(m[0]) if m else 0
     row = 0
@@ -202,7 +198,7 @@ def d1_rank(a, domain=M2_BASIS):
     matrices (defaults to all of M2).
     """
     a = _frmat(a)
-    flat = [[_fr(b[i][j]) for i in range(2) for j in range(2)] for b in domain]
+    flat = [[to_fraction(b[i][j]) for i in range(2) for j in range(2)] for b in domain]
     if rank_exact(flat) < len(domain):
         raise ValueError("domain basis is linearly dependent")
     rows = []

@@ -200,16 +200,16 @@ def filtration_order(a):
 class LambdaVariant:
     """Which subalgebra of operators is meant.
 
-    kind: "full" (no constraint), "meromorphic" (fields vanishing on the
-    divisor d*[z=0], generated by z^pole_mult * d), or "logarithmic"
-    (fields preserving the ideal (z), generated by z*d).
+    kind: "meromorphic" (fields vanishing on the divisor d*[z=0],
+    generated by z^pole_mult * d) or "logarithmic" (fields preserving the
+    ideal (z), generated by z*d).
     """
 
     kind: str
     pole_mult: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("full", "meromorphic", "logarithmic"):
+        if self.kind not in ("meromorphic", "logarithmic"):
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == "meromorphic" and self.pole_mult < 1:
             raise ValueError("meromorphic variant needs pole multiplicity >= 1")
@@ -268,9 +268,6 @@ def lambda_membership(a, variant):
     Greedy top-down elimination; returns a Membership whose certificate,
     when present, has been verified by renormalization.
     """
-    if variant.kind == "full":
-        raise ValueError("membership is only constrained for the "
-                         "meromorphic and logarithmic variants")
     d = variant.pole_mult
     remainder = a
     certificate = []
@@ -434,7 +431,12 @@ def parse_diffop(text):
     """Parse the tiny infix grammar (tokens: d, z, integers, + - * ^ and
     parentheses) into a normalized operator."""
     parser = _Parser(_tokenize(text))
-    result = parser.expr()
+    try:
+        result = parser.expr()
+    except RecursionError:
+        raise DiffOpParseError(
+            "expression nested too deeply", parser.tokens[parser.pos - 1][2]
+        ) from None
     end = parser.next()
     if end[0] != "end":
         raise DiffOpParseError(f"trailing input {end[0]!r}", end[2])

@@ -62,15 +62,6 @@ class MatPair:
     Y: tuple
 
     @classmethod
-    def symbolic(cls):
-        x0, x, x12, x21 = _gen("x0"), _gen("x"), _gen("x12"), _gen("x21")
-        y0, y, y12, y21 = _gen("y0"), _gen("y"), _gen("y12"), _gen("y21")
-        return cls(
-            mat2.mat(x0 + x, x12, x21, x0 - x),
-            mat2.mat(y0 + y, y12, y21, y0 - y),
-        )
-
-    @classmethod
     def from_coords(cls, x0=0, x=0, x12=0, x21=0, y0=0, y=0, y12=0, y21=0):
         f = Fraction
         return cls(
@@ -92,7 +83,13 @@ class MatPair:
 
 
 def symbolic_pair():
-    return MatPair.symbolic()
+    """The pair (T, Y) in the eight coordinate generators."""
+    x0, x, x12, x21 = _gen("x0"), _gen("x"), _gen("x12"), _gen("x21")
+    y0, y, y12, y21 = _gen("y0"), _gen("y"), _gen("y12"), _gen("y21")
+    return MatPair(
+        mat2.mat(x0 + x, x12, x21, x0 - x),
+        mat2.mat(y0 + y, y12, y21, y0 - y),
+    )
 
 
 @dataclass(frozen=True)

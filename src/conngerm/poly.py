@@ -30,12 +30,14 @@ from operator import add, le, neg, sub
 _COEFF_TYPES = (int, Fraction)
 
 
-def _to_coeff(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+def to_fraction(x):
+    """x as a Fraction; only an int or a Fraction is a rational here, so a
+    float, a string or anything else is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
 def _to_exponent(exp, n):
@@ -111,7 +113,7 @@ class MPoly:
         clean = {}
         for exp, c in (terms or {}).items():
             exp = _to_exponent(exp, n)
-            c = _to_coeff(c)
+            c = to_fraction(c)
             if c:
                 s = clean.get(exp)
                 s = c if s is None else s + c
@@ -138,7 +140,7 @@ class MPoly:
 
     @classmethod
     def const(cls, variables, c):
-        c = _to_coeff(c)
+        c = to_fraction(c)
         if not c:
             return cls(variables, {})
         return cls(variables, {(0,) * len(tuple(variables)): c})
@@ -211,7 +213,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, _COEFF_TYPES):
-            c = _to_coeff(other)
+            c = to_fraction(other)
             terms = {e: v * c for e, v in self.terms.items()} if c else {}
             return MPoly._trusted(self.variables, terms)
         other = self._coerce(other)

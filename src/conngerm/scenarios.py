@@ -25,8 +25,11 @@ situation.  Each operation declares its arguments once, in its
 argument is optional.  A missing, unknown or ill-typed argument raises
 ScenarioError naming its path (e.g. ``checks[0].args.variant``); args
 are decoded when a check runs, so a scenario with bad values still
-loads.  ``expect`` lists the outputs to pin; comparison is exact
-equality on the canonical JSON encoding.  Reports are deterministic:
+loads.  A handler returns domain values: a result dataclass, or a dict
+of them where it renames, drops or adds a key.  ``canonical`` encodes
+that result once, a dataclass as the object of its fields; the report
+and the comparison with ``expect`` both read that encoding, and the
+comparison is exact equality.  Reports are deterministic:
 two runs of one scenario produce byte-identical JSON (timing lives
 outside the serialized report).
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -229,7 +232,8 @@ def _operator(v, path):
 
 def canonical(v):
     """Canonical JSON-ready form: Fractions become ints or "p/q" strings,
-    symbolic values become their deterministic string rendering."""
+    symbolic values become their deterministic string rendering, and a
+    dataclass instance becomes the object of its fields."""
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, Fraction):
@@ -242,11 +246,9 @@ def canonical(v):
         return [canonical(x) for x in v]
     if isinstance(v, dict):
         return {str(k): canonical(x) for k, x in v.items()}
+    if is_dataclass(v) and not isinstance(v, type):
+        return {f.name: canonical(getattr(v, f.name)) for f in fields(v)}
     raise TypeError(f"cannot encode {type(v).__name__}")
-
-
-def _mat_json(m):
-    return [[canonical(m[i][j]) for j in range(2)] for i in range(2)]
 
 
 # -- operation handlers ---------------------------------------------------
@@ -267,7 +269,7 @@ def _handler(family, op, **spec):
 
 
 def _dims(dims):
-    return {"h0": dims.h0, "h1": dims.h1, "chi": dims.chi}
+    return {**vars(dims), "chi": dims.chi}
 
 
 @_handler("cohomology", "rr_line", degree=_int, trivial=(_bool, False))
@@ -304,11 +306,8 @@ def _h_connection_exists(r, d, degD, semistable):
     return {"exists": cohomology.connection_exists(r, d, degD, semistable)}
 
 
-def _ob2_json(result):
-    return {
-        "commutator": _mat_json(result.commutator),
-        "q": [canonical(q) for q in result.q_values],
-    }
+def _ob2(result):
+    return {"commutator": result.commutator, "q": result.q_values}
 
 
 @_handler("kuranishi", "ob2_symbolic")
@@ -317,29 +316,22 @@ def _h_ob2_symbolic():
     involves_trace = any(
         e.involves("x0") or e.involves("y0") for e in mat2.entries(result.commutator)
     )
-    return {**_ob2_json(result), "involves_trace_vars": involves_trace}
+    return {**_ob2(result), "involves_trace_vars": involves_trace}
 
 
 @_handler("kuranishi", "ob2_at", coords=_coords)
 def _h_ob2_at(coords):
-    return _ob2_json(kuranishi.ob2(coords))
+    return _ob2(kuranishi.ob2(coords))
 
 
 @_handler("kuranishi", "segre", xi=(_list_of(_rat), None),
           lam=(_list_of(_rat), None), symbolic=(_bool, False))
 def _h_segre(xi, lam, symbolic):
     if symbolic:
-        point = kuranishi.segre_check_symbolic()
-    elif xi is None or lam is None:
+        return kuranishi.segre_check_symbolic()
+    if xi is None or lam is None:
         raise ValueError("segre needs both xi and lam, or symbolic: true")
-    else:
-        point = kuranishi.segre_check(xi, lam)
-    return {
-        "s": [canonical(c) for c in point.s],
-        "t": [canonical(c) for c in point.t],
-        "q_values": [canonical(q) for q in point.q_values],
-        "on_locus": point.on_locus,
-    }
+    return kuranishi.segre_check(xi, lam)
 
 
 @_handler("kuranishi", "count_points", prime=_int)
@@ -357,48 +349,27 @@ def _h_relation_certificate():
     return {
         "identity_holds": cert.identity_holds,
         "normal_form_zero": cert.normal_form_zero,
-        "lhs": canonical(cert.lhs),
-        "rhs": canonical(cert.rhs),
+        "lhs": cert.lhs,
+        "rhs": cert.rhs,
         "certificate": "z^2 - z1*z2 = q1^2 + q2*q3",
-        "basis": [canonical(g) for g in cert.basis],
+        "basis": cert.basis,
     }
 
 
 @_handler("git", "psi", coords=_coords)
 def _h_psi(coords):
     inv = kuranishi.psi(coords)
-    return {
-        "z": canonical(inv.z),
-        "z1": canonical(inv.z1),
-        "z2": canonical(inv.z2),
-        "on_cone": inv.z * inv.z == inv.z1 * inv.z2,
-    }
+    return {**vars(inv), "on_cone": inv.z * inv.z == inv.z1 * inv.z2}
 
 
 @_handler("git", "orbits", z1=_rat, z2=_rat)
 def _h_orbits(z1, z2):
-    sep = kuranishi.orbit_separation(z1, z2)
-    return {
-        "count": sep.count,
-        "z_values": [canonical(z) for z in sep.z_values],
-        "extension": [[sym, canonical(c)] for sym, c in sep.extension],
-        "representatives": [
-            {"T": _mat_json(rep.T), "Y": _mat_json(rep.Y)}
-            for rep in sep.representatives
-        ],
-    }
+    return kuranishi.orbit_separation(z1, z2)
 
 
 @_handler("git", "fiber", along=(_str, "z2"))
 def _h_fiber(along):
-    restriction = kuranishi.fiber_multiplicity(along)
-    return {
-        "cone": canonical(restriction.cone),
-        "restricted_along": list(restriction.restricted_along),
-        "generators": [canonical(g) for g in restriction.generators],
-        "multiplicity": restriction.multiplicity,
-        "reduced_fiber": restriction.reduced_fiber,
-    }
+    return kuranishi.fiber_multiplicity(along)
 
 
 @_handler("deform", "congruence", order=_int, ztrunc=_int, g2=_rat, g3=_rat)
@@ -426,7 +397,7 @@ def _h_congruence(order, ztrunc, g2, g3):
           g2=_rat, g3=_rat, ztrunc=_int, exponents=_list_of(_int))
 def _h_wp_coeffs(g2, g3, ztrunc, exponents):
     wp = deformation.wp_series(g2, g3, ztrunc)
-    return {"coeffs": {str(e): canonical(wp.series.coeff(e)) for e in exponents}}
+    return {"coeffs": {e: wp.series.coeff(e) for e in exponents}}
 
 
 @_handler("deform", "phi_cochain", k=_int, g2=_rat, g3=_rat, ztrunc=_int)
@@ -435,7 +406,7 @@ def _h_phi_cochain(k, g2, g3, ztrunc):
     diff = cochain.phi_beta - cochain.phi_alpha
     return {
         "k": k,
-        "difference": canonical(diff),
+        "difference": diff,
         "difference_is_single_pole": diff.coeffs == {-k: Fraction(1)},
         "alpha_regular": all(e >= 0 for e in cochain.phi_alpha.coeffs),
     }
@@ -462,27 +433,13 @@ def _h_membership(expr, variant):
 
 @_handler("stability", "verdict", E=_numerics, subs=_list_of(_numerics))
 def _h_verdict(E, subs):
-    v = stability.stability_verdict(E, subs)
-    return {
-        "hilbert": v.hilbert,
-        "hilbert_witness": v.hilbert_witness,
-        "slope": v.slope,
-        "slope_witness": v.slope_witness,
-        "vacuous": v.vacuous,
-    }
+    return stability.stability_verdict(E, subs)
 
 
 @_handler("stability", "chain", E=_numerics, subs=_list_of(_numerics))
 def _h_chain(E, subs):
     report = stability.implication_chain_check(E, subs)
-    return {
-        "mu_stable": report.mu_stable,
-        "stable": report.stable,
-        "semistable": report.semistable,
-        "mu_semistable": report.mu_semistable,
-        "ok": report.ok,
-        "violations": list(report.violations),
-    }
+    return {**vars(report), "ok": report.ok}
 
 
 @_handler("stability", "hilbert_poly", **_SHEAF)
@@ -491,27 +448,25 @@ def _h_hilbert_poly(rank, degree, genus, h):
     return {
         "poly": str(p),
         "reduced": str(stability.reduced_poly(p)),
-        "alphas": [canonical(a) for a in p.alphas],
+        "alphas": p.alphas,
     }
 
 
 def resolve_op(kind, op, path):
     if "." in op:
-        family, bare = op.split(".", 1)
-        if (family, bare) not in _HANDLERS:
-            raise ScenarioError(f"unknown operation {op!r}", path)
-        return _HANDLERS[(family, bare)]
-    if (kind, op) in _HANDLERS:
-        return _HANDLERS[(kind, op)]
-    matches = [key for key in _HANDLERS if key[1] == op]
-    if len(matches) == 1:
-        return _HANDLERS[matches[0]]
+        matches = [key for key in _HANDLERS if f"{key[0]}.{key[1]}" == op]
+    elif (kind, op) in _HANDLERS:
+        matches = [(kind, op)]
+    else:
+        matches = [key for key in _HANDLERS if key[1] == op]
     if not matches:
         raise ScenarioError(f"unknown operation {op!r}", path)
-    raise ScenarioError(
-        f"ambiguous operation {op!r}; qualify as one of "
-        f"{sorted(f'{f}.{o}' for f, o in matches)}", path
-    )
+    if len(matches) > 1:
+        raise ScenarioError(
+            f"ambiguous operation {op!r}; qualify as one of "
+            f"{sorted(f'{f}.{o}' for f, o in matches)}", path
+        )
+    return _HANDLERS[matches[0]]
 
 
 # -- scenario and report objects ------------------------------------------
@@ -603,9 +558,9 @@ class Report:
             "checks": [
                 {
                     "op": c.op,
-                    "args": canonical(c.args),
-                    "computed": canonical(c.computed),
-                    "expected": canonical(c.expected),
+                    "args": c.args,
+                    "computed": c.computed,
+                    "expected": c.expected,
                     "pass": c.passed,
                     "mismatches": list(c.mismatches),
                     "cite": c.cite,
@@ -646,47 +601,45 @@ def report_from_json(text):
 
 
 def _compare(computed, expect, path):
-    """Exact comparison of expected keys against computed values, on the
-    canonical encoding.  Returns a list of mismatch descriptions."""
+    """Exact comparison of expected keys against computed values, both
+    already in canonical encoding.  Returns a list of mismatch
+    descriptions."""
     mismatches = []
     for key, want in expect.items():
         if key not in computed:
             mismatches.append(f"{path}.{key}: no such output")
             continue
-        got = canonical(computed[key])
-        want_c = canonical(want)
-        if isinstance(want_c, dict) and isinstance(got, dict):
-            mismatches.extend(_compare(got, want_c, f"{path}.{key}"))
-        elif got != want_c:
-            mismatches.append(f"{path}.{key}: expected {want_c!r}, got {got!r}")
+        got = computed[key]
+        if isinstance(want, dict) and isinstance(got, dict):
+            mismatches.extend(_compare(got, want, f"{path}.{key}"))
+        elif got != want:
+            mismatches.append(f"{path}.{key}: expected {want!r}, got {got!r}")
     return mismatches
 
 
 def run_scenario_obj(scenario):
     start = time.perf_counter()
     results = []
-    passed = True
     for i, check in enumerate(scenario.checks):
         path = f"checks[{i}]"
         handler = resolve_op(scenario.kind, check.op, path + ".op")
         try:
-            computed = handler(check.args, path + ".args")
+            result = handler(check.args, path + ".args")
         except ScenarioError:
             raise
         except (ValueError, TypeError, KeyError, TruncationExhausted) as e:
             raise ScenarioError(f"{type(e).__name__}: {e}", path)
-        mismatches = tuple(
-            _compare(computed, check.expect, path + ".expect")
-        ) if check.expect is not None else ()
-        ok = not mismatches
-        passed = passed and ok
+        computed = canonical(result)
+        expected = canonical(check.expect)
+        mismatches = tuple(_compare(computed, expected or {}, path + ".expect"))
         results.append(
             CheckResult(
-                check.op, check.args, computed, check.expect, ok,
+                check.op, check.args, computed, expected, not mismatches,
                 mismatches, check.cite, check.note,
             )
         )
     elapsed = time.perf_counter() - start
+    passed = all(r.passed for r in results)
     return Report(scenario.name, scenario.kind, passed, tuple(results),
                   None, elapsed)
 

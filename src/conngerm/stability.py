@@ -27,15 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .poly import to_fraction
+
 LT, EQ, GT = -1, 0, 1
-
-
-def _fr(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -49,21 +43,16 @@ class HilbertPoly:
     alphas: tuple
 
     def __init__(self, alphas):
-        alphas = [_fr(a) for a in alphas]
+        alphas = [to_fraction(a) for a in alphas]
         while alphas and not alphas[-1]:
             alphas.pop()
         object.__setattr__(self, "alphas", tuple(alphas))
-
-    @property
-    def dim(self):
-        """Degree of the polynomial (dimension of support); -1 if zero."""
-        return len(self.alphas) - 1
 
     def __bool__(self):
         return bool(self.alphas)
 
     def evaluate(self, m):
-        m = _fr(m)
+        m = to_fraction(m)
         total = Fraction(0)
         fact = 1
         for i, a in enumerate(self.alphas):
@@ -101,7 +90,7 @@ def hilbert_poly_curve(rank, degree, g, h):
         raise ValueError("polarization degree must be >= 1")
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return HilbertPoly([_fr(degree) + rank * (1 - g), Fraction(rank * h)])
+    return HilbertPoly([to_fraction(degree) + rank * (1 - g), Fraction(rank * h)])
 
 
 def reduced_poly(p):
@@ -134,7 +123,7 @@ class SheafNumerics:
     h: int
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", _fr(self.degree))
+        object.__setattr__(self, "degree", to_fraction(self.degree))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 

@@ -178,3 +178,10 @@ def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_deeply_nested_operator_is_an_input_error(capsys):
+    expr = "(" * 3000 + "d" + ")" * 3000
+    code, out, err = run_cli(capsys, "diffop", "normalize", expr)
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err and "Traceback" not in err

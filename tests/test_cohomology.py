@@ -200,3 +200,8 @@ def test_connection_exists():
     assert not connection_exists(2, 1, 0, True)
     assert connection_exists(2, 0, 0, True)
     assert not connection_exists(2, 0, 0, False)
+
+
+def test_d1_rank_rejects_float_entries():
+    with pytest.raises(TypeError):
+        d1_rank(((0.1, 0), (0, 0.5)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conngerm.cli import main
+from conngerm.kuranishi import MatPair
 from conngerm.poly import MPoly
 from conngerm.scenarios import (
     Check,
@@ -160,6 +161,9 @@ def test_canonical_encoding():
     assert canonical(MPoly.gen(("r1",), "r1")) == "r1"
     assert canonical((1, (2, 3))) == [1, [2, 3]]
     assert canonical(True) is True
+    assert canonical(MatPair.from_coords(x=1)) == {
+        "T": [[1, 0], [0, -1]], "Y": [[0, 0], [0, 0]]
+    }
     with pytest.raises(TypeError):
         canonical(object())
 
@@ -263,3 +267,15 @@ def test_argument_errors_are_typed_and_named(op, args, message):
     with pytest.raises(ScenarioError) as err:
         run_scenario_obj(scenario)
     assert str(err.value) == message
+
+
+def test_run_all_isolates_a_deeply_nested_operator(tmp_path):
+    good = bundled_dir() / "diffop_basics.json"
+    (tmp_path / "a_good.json").write_text(good.read_text())
+    deep = {"version": 1, "name": "deep", "kind": "diffop", "checks": [
+        {"op": "normalize", "args": {"expr": "(" * 3000 + "d" + ")" * 3000}}]}
+    (tmp_path / "b_deep.json").write_text(json.dumps(deep))
+    by_name = {r.scenario: r for r in run_all(tmp_path).reports}
+    assert by_name["diffop_basics"].passed
+    assert not by_name["b_deep.json"].passed
+    assert "nested too deeply" in by_name["b_deep.json"].error
