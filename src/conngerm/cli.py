@@ -222,9 +222,24 @@ def build_parser():
     return parser
 
 
+def _expression_behind_dashes(argv):
+    """argv with a diffop expression that starts with "-" moved behind
+    "--".  argparse reads such a word ("-z*d") as an unknown flag; behind
+    "--" it is the positional it was meant to be.  Flags, -h and a
+    negative number (a --pole-mult value) stay where they are."""
+    if argv[:1] != ["diffop"] or "--" in argv:
+        return argv
+    for i, word in enumerate(argv[1:], 1):
+        if (word.startswith("-") and not word.startswith(("--", "-h"))
+                and not word[1:].isdigit()):
+            return argv[:i] + argv[i + 1:] + ["--", word]
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = parser.parse_args(_expression_behind_dashes(argv))
     try:
         return ns.func(ns)
     except ScenarioError as e:

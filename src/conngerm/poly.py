@@ -397,25 +397,36 @@ def normal_form(f, basis, order):
     the basis.  When basis is a Groebner basis, the remainder is the
     canonical representative of f modulo the ideal, and f lies in the
     ideal iff the remainder is zero.
-
-    The division runs on one mutable term dict: each step removes the
-    leading term and either subtracts the matching multiple of a basis
-    element's tail in place or moves the term to the remainder.  A heap
-    finds the leading term.  Every term a step adds is smaller than the
-    term it removed, so an exponent never returns once it has been
-    handled, and a heap entry whose term has since cancelled is skipped.
     """
     basis = [g for g in basis if g]
     if not basis:
         raise ValueError("basis must contain a nonzero polynomial")
-    for g in basis:
-        if g.variables != f.variables:
-            raise ValueError("basis/argument variable mismatch")
-    divisors = []
-    for g in basis:
-        gexp, gc = order.leading(g)
-        tail = [(e, c) for e, c in g.terms.items() if e != gexp]
-        divisors.append((gexp, gc, tail))
+    _check_variables(basis, f.variables)
+    return _divide(f, [_division_form(g, order) for g in basis], order)
+
+
+def _check_variables(polys, variables):
+    if any(g.variables != variables for g in polys):
+        raise ValueError("basis/argument variable mismatch")
+
+
+def _division_form(g, order):
+    """What a division step by the nonzero g reads: its leading exponent,
+    its leading coefficient and its other terms."""
+    gexp, gc = order.leading(g)
+    return gexp, gc, [(e, c) for e, c in g.terms.items() if e != gexp]
+
+
+def _divide(f, divisors, order):
+    """The remainder of f by divisors given in ``_division_form``.
+
+    The division runs on one mutable term dict: each step removes the
+    leading term and either subtracts the matching multiple of a
+    divisor's tail in place or moves the term to the remainder.  A heap
+    finds the leading term.  Every term a step adds is smaller than the
+    term it removed, so an exponent never returns once it has been
+    handled, and a heap entry whose term has since cancelled is skipped.
+    """
     rank = order.descending_key
     p = dict(f.terms)
     get = p.get
@@ -472,47 +483,51 @@ def buchberger(generators, order):
     Dickson's lemma.  Adequate for the ideals in scope: few variables,
     low degree.  The output is inter-reduced, monic, and sorted by
     leading monomial, so it is canonical for the given order.
+
+    Each basis element's division form is computed once, when the
+    element joins, and every later pair test and reduction reads it.
     """
     basis = [_monic(g, order) for g in generators if g]
     if not basis:
         raise ValueError("no nonzero generators")
+    _check_variables(basis, basis[0].variables)
+    forms = [_division_form(g, order) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
-        ei, _ = order.leading(basis[i])
-        ej, _ = order.leading(basis[j])
+        ei, ej = forms[i][0], forms[j][0]
         if _monomial_lcm(ei, ej) == tuple(a + b for a, b in zip(ei, ej)):
             continue  # product criterion: coprime leads never yield new elements
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = _divide(s_polynomial(basis[i], basis[j], order), forms, order)
         if r:
-            basis.append(_monic(r, order))
+            g = _monic(r, order)
+            basis.append(g)
+            forms.append(_division_form(g, order))
             k = len(basis) - 1
             pairs.extend((i2, k) for i2 in range(k))
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, forms, order)
 
 
-def _reduce_basis(basis, order):
+def _reduce_basis(basis, forms, order):
+    leads = [form[0] for form in forms]
     # minimal: drop any element whose lead is divisible by another's lead
-    minimal = []
-    for i, g in enumerate(basis):
-        ge, _ = order.leading(g)
-        if any(
-            _monomial_divides(order.leading(h)[0], ge)
-            for j, h in enumerate(basis)
-            if j != i and (j < i or order.leading(h)[0] != ge)
-        ):
-            continue
-        minimal.append(g)
-    # reduced: tail-reduce every element against the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        if others:
-            g = normal_form(g, others, order)
-        if g:
-            reduced.append(_monic(g, order))
-    reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
-    return reduced
+    minimal = [
+        i for i, ge in enumerate(leads)
+        if not any(
+            _monomial_divides(he, ge)
+            for j, he in enumerate(leads)
+            if j != i and (j < i or he != ge)
+        )
+    ]
+    # reduced: tail-reduce every element against the others.  No other
+    # lead divides an element's lead, so its monic leading term survives
+    # and the remainder is monic with the same lead.
+    reduced = [
+        (leads[i], _divide(basis[i], [forms[j] for j in minimal if j != i], order))
+        for i in minimal
+    ]
+    reduced.sort(key=lambda item: order.key(item[0]))
+    return [g for _, g in reduced]
 
 
 def is_groebner(basis, order):

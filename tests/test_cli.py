@@ -185,3 +185,33 @@ def test_deeply_nested_operator_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "diffop", "normalize", expr)
     assert code == 2 and out == ""
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_diffop_expression_may_start_with_a_minus_sign(capsys):
+    cases = (
+        (("normalize", "-z*d"), ("normalize", "--", "-z*d")),
+        (("member", "-z*d", "--pole-mult", "1"),
+         ("member", "--pole-mult", "1", "--", "-z*d")),
+        (("member", "--pole-mult", "2", "-(z^2*d)^2"),
+         ("member", "--pole-mult", "2", "--", "-(z^2*d)^2")),
+        (("member", "-z*d", "--logarithmic"),
+         ("member", "--logarithmic", "--", "-z*d")),
+    )
+    for plain, dashed in cases:
+        code, out, _ = run_cli(capsys, "diffop", *plain)
+        assert (code, out) == run_cli(capsys, "diffop", *dashed)[:2], plain
+        assert code == 0
+    doc = json.loads(run_cli(capsys, "diffop", "normalize", "-z*d")[1])
+    assert doc["checks"][0]["computed"]["normal_form"] == "-z*d"
+    with pytest.raises(SystemExit) as e:
+        main(["diffop", "normalize", "-z*d", "-h"])
+    assert e.value.code == 0
+    assert "--pole-mult" in capsys.readouterr().out
+
+
+def test_malformed_enum_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("CONNGERM_ENUM_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "kuranishi", "count", "--prime", "5")
+    assert code == 2 and out == ""
+    assert "CONNGERM_ENUM_BUDGET must be a nonnegative integer" in err
+    assert "Traceback" not in err

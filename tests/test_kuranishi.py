@@ -5,9 +5,11 @@ classified over a seeded batch of rational fibers."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from conngerm import kuranishi
 from conngerm.deformation import build_cocycle, wp_series
 from conngerm.kuranishi import (
     COORDS,
@@ -297,3 +299,76 @@ def test_one_quadric_basis():
     minors = [X * Y12 - X12 * Y, X * Y21 - X21 * Y, X12 * Y21 - X21 * Y12]
     monic = {m * (1 / DEFAULT_ORDER.leading(m)[1]) for m in minors}
     assert set(gb) == monic and len(gb) == 3
+
+
+def enumerate_points(p):
+    """The p^6 walk over all pairs (s, t): the rank-<=1 locus of
+    [[x, x12, x21], [y, y12, y21]], tested minor by minor."""
+    fp = range(p)
+    count = 0
+    for x, x12, x21, y, y12, y21 in product(fp, repeat=6):
+        if (
+            (x * y12 - x12 * y) % p == 0
+            and (x * y21 - x21 * y) % p == 0
+            and (x12 * y21 - x21 * y12) % p == 0
+        ):
+            count += 1
+    return count
+
+
+def test_fibred_count_matches_enumeration():
+    for p in (2, 3, 5, 7):
+        assert count_points_mod_p(p) == enumerate_points(p), p
+
+
+def gauss_rank_mod_p(m, p):
+    """Rank over F_p by plain row reduction with modular inverses."""
+    rows = [[x % p for x in row] for row in m]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, 3) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(3):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def random_matrix_of_rank(r, p, rng):
+    """A 3x3 integer matrix of rank r over F_p: a product of random 3xr
+    and rx3 factors, redrawn until the oracle confirms the rank, with
+    entries shifted by random multiples of p (negative ones included)."""
+    while True:
+        a = [[rng.randrange(p) for _ in range(r)] for _ in range(3)]
+        b = [[rng.randrange(p) for _ in range(3)] for _ in range(r)]
+        m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(3)]
+             for i in range(3)]
+        if gauss_rank_mod_p(m, p) == r:
+            return tuple(tuple(x + p * rng.randint(-3, 3) for x in row)
+                         for row in m)
+
+
+def test_rank_mod_p_matches_gaussian_elimination():
+    rng = random.Random(4242)
+    for p in (2, 3, 5, 13):
+        for r in range(4):
+            for _ in range(25):
+                m = random_matrix_of_rank(r, p, rng)
+                assert kuranishi._rank_mod_p(m, p) == r, (m, p)
+        for _ in range(200):
+            m = tuple(tuple(rng.randint(-2 * p, 2 * p) for _ in range(3))
+                      for _ in range(3))
+            assert kuranishi._rank_mod_p(m, p) == gauss_rank_mod_p(m, p), (m, p)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "", "1e6"])
+def test_malformed_budget_is_a_named_value_error(monkeypatch, value):
+    monkeypatch.setenv(ENUM_BUDGET_ENV, value)
+    with pytest.raises(ValueError, match=ENUM_BUDGET_ENV):
+        count_points_mod_p(3)

@@ -1,5 +1,5 @@
-"""Differential oracle: reduced Groebner bases and normal forms against
-the locally installed sympy.  sympy is a test-only reference; the
+"""Differential oracle: reduced Groebner bases, normal forms and exact
+matrix ranks against the locally installed sympy.  sympy is a test-only reference; the
 package itself never imports it."""
 
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conngerm.cohomology import rank_exact
 from conngerm.poly import MonomialOrder, MPoly, buchberger, normal_form
 
 sympy = pytest.importorskip("sympy")
@@ -60,3 +61,25 @@ def test_groebner_and_normal_form_match_sympy(seed):
         _, rem = sympy.reduced(_to_sympy(probe), ref_polys, *SYMS,
                                order="grevlex", domain="QQ")
         assert normal_form(probe, ours, ORDER) == _from_sympy(rem)
+
+
+def _rand_matrix(rng, rows, cols):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_exact_matches_sympy(seed):
+    rng = random.Random(7300 + seed)
+    for _ in range(8):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        # a product through an inner dimension below min(rows, cols) is
+        # rank-deficient; a plain draw is usually of full rank
+        inner = rng.randint(0, min(rows, cols))
+        a, b = _rand_matrix(rng, rows, inner), _rand_matrix(rng, inner, cols)
+        deficient = [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+                      for j in range(cols)] for i in range(rows)]
+        for m in (deficient, _rand_matrix(rng, rows, cols)):
+            ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                 for x in row] for row in m]).rank()
+            assert rank_exact(m) == ref

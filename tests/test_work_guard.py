@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conngerm import poly
+from conngerm import kuranishi, poly
 from conngerm.deformation import build_cocycle, congruence_check, wp_series
 from conngerm.kuranishi import COORDS, DEFAULT_ORDER, groebner_basis
 from conngerm.poly import MPoly, ring
@@ -60,3 +60,16 @@ def test_congruence_check_validation_budget(init_calls):
     init_calls[0] = 0
     assert congruence_check(cocycle, 6).ok
     assert init_calls[0] <= 160
+
+
+def test_point_count_walks_p_cubed_fibres(monkeypatch):
+    calls = [0]
+    original = kuranishi._rank_mod_p
+
+    def counting(m, p):
+        calls[0] += 1
+        return original(m, p)
+
+    monkeypatch.setattr(kuranishi, "_rank_mod_p", counting)
+    assert kuranishi.count_points_mod_p(13) == 13**4 + 13**3 - 13
+    assert calls[0] == 13**3
