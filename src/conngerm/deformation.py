@@ -145,15 +145,9 @@ class DeformationCocycle:
     basis: tuple
 
 
-def _reduce_poly_entry(c, basis):
-    if isinstance(c, MPoly):
-        return normal_form(c, basis, DEFAULT_ORDER)
-    return c
-
-
 def _reduce_matrix(m, basis):
     return mat2.map_entries(
-        lambda s: s.map_coeffs(lambda c: _reduce_poly_entry(c, basis)), m
+        lambda s: s.map_coeffs(lambda c: normal_form(c, basis, DEFAULT_ORDER)), m
     )
 
 

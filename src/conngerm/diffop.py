@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MPoly
+from .poly import MPoly, _merge, _signed_sum
 
 ZVARS = ("z",)
 NEG_INF = float("-inf")
@@ -100,12 +100,7 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs = dict(self.coeffs)
-        get = coeffs.get
-        for k, f in other.coeffs.items():
-            s = get(k)
-            coeffs[k] = f if s is None else s + f
-        return DiffOp(coeffs)
+        return DiffOp(_merge(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -116,7 +111,7 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return DiffOp(_merge(self.coeffs, other.coeffs, subtract=True))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -298,37 +293,11 @@ def lambda_membership(a, variant):
 def render(op):
     """Bit-exact normal-form printing: monomial terms sorted by
     descending d-order, then ascending z-degree."""
-    if not op.coeffs:
-        return "0"
-    items = []
-    for k in sorted(op.coeffs, reverse=True):
-        f = op.coeffs[k]
-        for exp in sorted(f.terms):
-            items.append((k, exp[0], f.terms[exp]))
-    out = []
-    for i, (k, j, c) in enumerate(items):
-        body = _term_body(k, j, c)
-        if i == 0:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(out)
-
-
-def _term_body(k, j, c):
-    factors = []
-    if j == 1:
-        factors.append("z")
-    elif j > 1:
-        factors.append(f"z^{j}")
-    if k == 1:
-        factors.append("d")
-    elif k > 1:
-        factors.append(f"d^{k}")
-    mag = abs(c)
-    if not factors or mag != 1:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+    return _signed_sum(
+        (c, [n if e == 1 else f"{n}^{e}" for n, e in (("z", j), ("d", k)) if e])
+        for k in sorted(op.coeffs, reverse=True)
+        for (j,), c in sorted(op.coeffs[k].terms.items())
+    )
 
 
 # -- parsing ------------------------------------------------------------

@@ -338,6 +338,7 @@ def relation_certificate():
 # -- orbit representatives over declared quadratic extensions -------------
 
 SQRT_VARS = ("r1", "r2")
+SQRT_ORDER = MonomialOrder("lex", SQRT_VARS)
 
 
 def _exact_sqrt(q):
@@ -352,14 +353,11 @@ def _exact_sqrt(q):
 
 
 def sqrt_reduce(p, c1, c2):
-    """Reduce an MPoly in (r1, r2) by the rules r1^2 -> c1, r2^2 -> c2."""
-    result = MPoly.zero(SQRT_VARS)
-    for (e1, e2), c in p.terms.items():
-        q1d, m1 = divmod(e1, 2)
-        q2d, m2 = divmod(e2, 2)
-        coeff = c * (c1**q1d) * (c2**q2d)
-        result = result + MPoly(SQRT_VARS, {(m1, m2): coeff})
-    return result
+    """Reduce an MPoly in (r1, r2) by the rules r1^2 -> c1, r2^2 -> c2: its
+    normal form modulo r1^2 - c1 and r2^2 - c2, a Groebner basis because
+    the two leading monomials are coprime."""
+    r1, r2 = (MPoly.gen(SQRT_VARS, n) for n in SQRT_VARS)
+    return normal_form(p, [r1 * r1 - c1, r2 * r2 - c2], SQRT_ORDER)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ place that establishes it from arbitrary input.  Arithmetic inside this
 module keeps it by construction and wraps its results with
 ``MPoly._trusted``, which neither copies nor checks; anything passed to
 ``_trusted`` must already be clean.
+
+Two rules are shared by every sparse sum in the package (polynomials
+here, Laurent series and differential operators elsewhere): ``_merge``
+adds or subtracts two term dicts, and ``_signed_sum`` prints
+(coefficient, factors) pairs in the one signed-sum text format.
 """
 
 from __future__ import annotations
@@ -169,19 +174,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        get = terms.get
-        for exp, c in other.terms.items():
-            s = get(exp)
-            if s is None:
-                terms[exp] = c
-            else:
-                s += c
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return MPoly._trusted(self.variables, terms)
+        return MPoly._trusted(self.variables, _merge(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -194,19 +187,9 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        get = terms.get
-        for exp, c in other.terms.items():
-            s = get(exp)
-            if s is None:
-                terms[exp] = -c
-            else:
-                s -= c
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return MPoly._trusted(self.variables, terms)
+        return MPoly._trusted(
+            self.variables, _merge(self.terms, other.terms, subtract=True)
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -241,8 +224,9 @@ class MPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -318,51 +302,57 @@ class MPoly:
     def subs(self, values):
         """Partial substitution; unsubstituted variables stay symbolic.
         Values may be scalars or polynomials in the same ring."""
-        result = MPoly.zero(self.variables)
         gens = {v: MPoly.gen(self.variables, v) for v in self.variables}
-        for exp, c in self.terms.items():
-            part = MPoly.const(self.variables, c)
-            for i, e in enumerate(exp):
-                if e:
-                    name = self.variables[i]
-                    base = values.get(name, gens[name])
-                    if not isinstance(base, MPoly):
-                        base = MPoly.const(self.variables, base)
-                    part = part * base ** e
-            result = result + part
-        return result
+        return MPoly.zero(self.variables) + self.evaluate({**gens, **values})
 
     # -- printing ------------------------------------------------------
 
-    def _term_str(self, exp, c):
-        factors = []
-        mag = abs(c)
-        for name, e in zip(self.variables, exp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
-        return "*".join(factors)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
         # graded-lex descending: stable across runs and platforms
         exps = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        out = []
-        for i, exp in enumerate(exps):
-            c = self.terms[exp]
-            body = self._term_str(exp, c)
-            if i == 0:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(out)
+        return _signed_sum(
+            (self.terms[exp], [n if e == 1 else f"{n}^{e}"
+                               for n, e in zip(self.variables, exp) if e])
+            for exp in exps
+        )
 
     def __repr__(self):
         return f"MPoly({str(self)})"
+
+
+def _merge(a, b, subtract=False):
+    """The term dict a + b, or a - b, as a new dict with zero sums dropped.
+    It reads only +, -, unary - and truth of the values, so Fraction,
+    MPoly and mixed coefficients merge alike."""
+    terms = dict(a)
+    get = terms.get
+    for k, c in b.items():
+        s = get(k)
+        if s is None:
+            terms[k] = -c if subtract else c
+        else:
+            s = s - c if subtract else s + c
+            if s:
+                terms[k] = s
+            else:
+                del terms[k]
+    return terms
+
+
+def _signed_sum(terms):
+    """Print (coefficient, factor strings) pairs as one signed sum, "0" when
+    there are none.  A term writes its coefficient's magnitude unless that
+    is 1 and factors follow; the first term takes a bare "-", each later
+    one "+ " or "- "."""
+    out = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join([str(mag), *factors] if mag != 1 or not factors else factors)
+        if out:
+            out.append(("+ " if c > 0 else "- ") + body)
+        else:
+            out.append(body if c > 0 else "-" + body)
+    return " ".join(out) if out else "0"
 
 
 def ring(names):

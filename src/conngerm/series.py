@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MPoly
+from .poly import MPoly, _merge, _signed_sum
 
 
 class TruncationExhausted(Exception):
@@ -134,12 +134,7 @@ class TruncLaurent:
         if other is None:
             return NotImplemented
         t = _min_trunc(self.trunc, other.trunc)
-        coeffs = dict(self.coeffs)
-        get = coeffs.get
-        for k, c in other.coeffs.items():
-            s = get(k)
-            coeffs[k] = c if s is None else s + c
-        return TruncLaurent(self.var, coeffs, t)
+        return TruncLaurent(self.var, _merge(self.coeffs, other.coeffs), t)
 
     __radd__ = __add__
 
@@ -152,7 +147,9 @@ class TruncLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        t = _min_trunc(self.trunc, other.trunc)
+        coeffs = _merge(self.coeffs, other.coeffs, subtract=True)
+        return TruncLaurent(self.var, coeffs, t)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -235,22 +232,21 @@ class TruncLaurent:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _term_str(self, k, c):
-        cstr = str(c)
-        if isinstance(c, MPoly) and (" " in cstr or cstr.startswith("-")):
-            cstr = f"({cstr})"
-        if k == 0:
-            return cstr
-        zpow = self.var if k == 1 else f"{self.var}^{k}"
-        if cstr == "1":
-            return zpow
-        if cstr == "-1":
-            return f"-{zpow}"
-        return f"{cstr}*{zpow}"
+    def _term(self, k, c):
+        """(coefficient, factors) of c*var^k for ``_signed_sum``.  A
+        polynomial coefficient is one factor, in parentheses when it has
+        a space or a sign, and left out when it is 1."""
+        factors = [self.var if k == 1 else f"{self.var}^{k}"] if k else []
+        if isinstance(c, MPoly):
+            cstr = str(c)
+            if cstr != "1":
+                wrap = " " in cstr or cstr.startswith("-")
+                factors.insert(0, f"({cstr})" if wrap else cstr)
+            c = 1
+        return c, factors
 
     def __str__(self):
-        parts = [self._term_str(k, self.coeffs[k]) for k in sorted(self.coeffs)]
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        body = _signed_sum(self._term(k, self.coeffs[k]) for k in sorted(self.coeffs))
         if self.trunc is not None:
             body += f" + O({self.var}^{self.trunc})"
         return body

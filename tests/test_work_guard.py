@@ -73,3 +73,22 @@ def test_point_count_walks_p_cubed_fibres(monkeypatch):
     monkeypatch.setattr(kuranishi, "_rank_mod_p", counting)
     assert kuranishi.count_points_mod_p(13) == 13**4 + 13**3 - 13
     assert calls[0] == 13**3
+
+
+@pytest.mark.parametrize("n, most", [(1, 1), (2, 2), (6, 4), (8, 4)])
+def test_power_squares_only_while_bits_remain(monkeypatch, n, most):
+    calls = [0]
+    original = MPoly.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    x, y = ring("x,y")
+    base = x + 2 * y + 1
+    expected = MPoly.const(base.variables, 1)
+    for _ in range(n):
+        expected = expected * base
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    assert base**n == expected
+    assert calls[0] <= most
