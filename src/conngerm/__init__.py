@@ -9,76 +9,3 @@ verification that a deformation family glues.
 """
 
 __version__ = "0.1.0"
-
-from .cohomology import (
-    CohDims,
-    Extension,
-    HyperCohInput,
-    Leaf,
-    Sum,
-    chase,
-    connection_exists,
-    d1_rank,
-    fiber_dimension,
-    hypercoh_dims,
-    rr_line,
-)
-from .deformation import (
-    build_cocycle,
-    congruence_check,
-    phi_cochain,
-    wp_series,
-)
-from .diffop import (
-    DiffOp,
-    DiffOpParseError,
-    LambdaVariant,
-    lambda_membership,
-    normalize,
-    parse_diffop,
-    render,
-)
-from .kuranishi import (
-    MatPair,
-    count_points_mod_p,
-    fiber_multiplicity,
-    ob2,
-    orbit_separation,
-    psi,
-    quadrics,
-    relation_certificate,
-    segre_check,
-)
-from .poly import MonomialOrder, MPoly, buchberger, is_groebner, normal_form
-from .scenarios import (
-    Report,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    run_all,
-    run_scenario,
-)
-from .series import TruncationExhausted, TruncLaurent
-from .stability import (
-    HilbertPoly,
-    SheafNumerics,
-    hilbert_poly_curve,
-    implication_chain_check,
-    lex_compare,
-    stability_verdict,
-)
-
-__all__ = [
-    "CohDims", "Extension", "HyperCohInput", "Leaf", "Sum", "chase",
-    "connection_exists", "d1_rank", "fiber_dimension", "hypercoh_dims",
-    "rr_line", "build_cocycle", "congruence_check", "phi_cochain",
-    "wp_series", "DiffOp", "DiffOpParseError", "LambdaVariant",
-    "lambda_membership", "normalize", "parse_diffop", "render", "MatPair",
-    "count_points_mod_p", "fiber_multiplicity", "ob2", "orbit_separation",
-    "psi", "quadrics", "relation_certificate", "segre_check",
-    "MonomialOrder", "MPoly", "buchberger", "is_groebner", "normal_form",
-    "Report", "Scenario", "ScenarioError", "load_scenario", "run_all",
-    "run_scenario", "TruncationExhausted", "TruncLaurent", "HilbertPoly",
-    "SheafNumerics", "hilbert_poly_curve", "implication_chain_check",
-    "lex_compare", "stability_verdict",
-]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import scenarios as sc
 from .scenarios import Check, Scenario, ScenarioError
@@ -23,9 +22,9 @@ from .scenarios import Check, Scenario, ScenarioError
 def _rational(text):
     """A rational flag value in scenario-file form: an int or "p/q"."""
     try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        f = sc._rat(text, None)
+    except ScenarioError as e:
+        raise argparse.ArgumentTypeError(str(e))
     return int(f) if f.denominator == 1 else str(f)
 
 

@@ -137,7 +137,9 @@ class DiffOp:
                     gj = gj.derivative("z")
         return DiffOp(coeffs)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):  # other * self: the ring is not commutative
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

@@ -251,7 +251,7 @@ def count_points_mod_p(p):
     in O(p^3) steps.  The budget still caps p^6, the size of the space
     the count covers.
     """
-    if not _is_prime(p):
+    if p <= _MAX_PRIME and not _is_prime(p):  # trial division only below the cap
         raise ValueError(f"{p} is not prime")
     budget = _enum_budget()
     if p > _MAX_PRIME or p**6 > budget:

@@ -37,6 +37,7 @@ outside the serialized report).
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
@@ -89,12 +90,19 @@ def parse_json_exact(text):
 # decoder, or to (decoder, default) when the field is optional.
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rat(v, path):
+    """A rational from a scenario file or a CLI flag: an int, or a string
+    [+-]digits[/digits], so that no short string names a huge number."""
     if isinstance(v, bool):
         raise ScenarioError(f"expected a rational, got a boolean", path)
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ScenarioError(f"bad rational {v!r}: write an integer or \"p/q\"", path)
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -629,7 +637,11 @@ def run_scenario_obj(scenario):
             raise
         except (ValueError, TypeError, KeyError, TruncationExhausted) as e:
             raise ScenarioError(f"{type(e).__name__}: {e}", path)
-        computed = canonical(result)
+        try:
+            computed = canonical(result)
+            json.dumps(computed)  # the report must be able to carry it
+        except ValueError as e:  # an integer past the int-string digit limit
+            raise ScenarioError(f"result cannot be encoded: {e}", path)
         expected = canonical(check.expect)
         mismatches = tuple(_compare(computed, expected or {}, path + ".expect"))
         results.append(

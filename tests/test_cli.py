@@ -215,3 +215,18 @@ def test_malformed_enum_budget_exits_two(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "CONNGERM_ENUM_BUDGET must be a nonnegative integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1.5", "1_0", "0x10", "1/-2", "٣"])
+def test_rational_flags_take_only_integers_and_p_over_q(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["git", "psi", "--coords", f"x={value}"])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert "bad rational" in err and "Traceback" not in err
+
+
+def test_rational_flags_keep_signs_and_fractions(capsys):
+    code, out, _ = run_cli(capsys, "git", "orbits", "--z1=-3/6", "--z2=+2")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["args"] == {"z1": "-1/2", "z2": 2}

@@ -182,3 +182,11 @@ def test_render_style():
     assert render(DiffOp.zero()) == "0"
     assert render(-DiffOp.d()) == "-d"
     assert render(DiffOp.one() * Fraction(1, 2)) == "1/2"
+
+
+def test_left_multiplication_by_a_polynomial_keeps_the_order():
+    d = DiffOp.d()
+    assert render(Z * d) == render(DiffOp.coefficient(Z) * d) == "z*d"
+    assert render(d * Z) == "z*d + 1"
+    assert render(2 * d) == render(d * 2) == "2*d"
+    assert render(Fraction(1, 2) * d) == "1/2*d"

@@ -372,3 +372,13 @@ def test_malformed_budget_is_a_named_value_error(monkeypatch, value):
     monkeypatch.setenv(ENUM_BUDGET_ENV, value)
     with pytest.raises(ValueError, match=ENUM_BUDGET_ENV):
         count_points_mod_p(3)
+
+
+def test_count_refuses_a_huge_prime_before_trial_division(monkeypatch):
+    def no_trial_division_above_cap(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(kuranishi, "_is_prime", no_trial_division_above_cap)
+    for p in (2**61 - 1, 17, 15):
+        with pytest.raises(ValueError, match="enumeration budget exceeded"):
+            count_points_mod_p(p)

@@ -279,3 +279,40 @@ def test_run_all_isolates_a_deeply_nested_operator(tmp_path):
     assert by_name["diffop_basics"].passed
     assert not by_name["b_deep.json"].passed
     assert "nested too deeply" in by_name["b_deep.json"].error
+
+
+def _orbits(z1):
+    return {"version": 1, "name": "orbits", "kind": "git",
+            "checks": [{"op": "orbits", "args": {"z1": z1, "z2": 2}}]}
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1.5", "1_0", "inf", "1/-2", "--1", ""])
+def test_rational_strings_are_integers_or_p_over_q(text):
+    with pytest.raises(ScenarioError, match="bad rational"):
+        run_scenario_obj(scenario_from_obj(_orbits(text)))
+
+
+def test_run_all_isolates_a_rational_in_exponent_form(tmp_path):
+    (tmp_path / "a_good.json").write_text(json.dumps(_orbits("-4/2")))
+    (tmp_path / "b_exp.json").write_text(json.dumps(_orbits("1e5000")))
+    agg = run_all(tmp_path)
+    by_name = {r.scenario: r for r in agg.reports}
+    assert by_name["orbits"].passed
+    assert "bad rational '1e5000'" in by_name["b_exp.json"].error
+    json.loads(agg.to_json())
+
+
+def test_result_too_large_for_json_fails_its_own_check(tmp_path, capsys):
+    big = {"version": 1, "name": "big", "kind": "cohomology", "checks": [
+        {"op": "fiber_dimension", "args": {"r": 10**3000, "g": 2, "degD": 1}}]}
+    f = tmp_path / "b_big.json"
+    f.write_text(json.dumps(big))
+    assert main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "result cannot be encoded" in err and "Traceback" not in err
+    (tmp_path / "a_good.json").write_text((bundled_dir() / "fiber_dims.json").read_text())
+    agg = run_all(tmp_path)
+    by_name = {r.scenario: r for r in agg.reports}
+    assert by_name["fiber_dims"].passed
+    assert "result cannot be encoded" in by_name["b_big.json"].error
+    json.loads(agg.to_json())
