@@ -25,7 +25,7 @@ def _rational(text):
         f = sc._rat(text, None)
     except ScenarioError as e:
         raise argparse.ArgumentTypeError(str(e))
-    return int(f) if f.denominator == 1 else str(f)
+    return sc.canonical(f)
 
 
 def _coords(text):
@@ -44,24 +44,23 @@ def _coords(text):
     return out
 
 
-def _summarize(report, file=None):
-    file = file if file is not None else sys.stderr
+def _summarize(report):
     status = "pass" if report.passed else "FAIL"
     print(
         f"{report.scenario} ({report.kind}): {len(report.checks)} checks, "
         f"{status} [{report.elapsed:.3f}s]",
-        file=file,
+        file=sys.stderr,
     )
     for c in report.checks:
         mark = "ok  " if c.passed else "FAIL"
         cite = f"  -- {c.cite}" if c.cite else ""
-        print(f"  [{mark}] {c.op}{cite}", file=file)
+        print(f"  [{mark}] {c.op}{cite}", file=sys.stderr)
         if c.note:
-            print(f"         note: {c.note}", file=file)
+            print(f"         note: {c.note}", file=sys.stderr)
         for m in c.mismatches:
-            print(f"         mismatch: {m}", file=file)
+            print(f"         mismatch: {m}", file=sys.stderr)
     if report.error:
-        print(f"  error: {report.error}", file=file)
+        print(f"  error: {report.error}", file=sys.stderr)
 
 
 def _emit(report):
@@ -71,10 +70,6 @@ def _emit(report):
 
 
 # -- subcommand implementations -------------------------------------------
-
-
-def _cmd_run(ns):
-    return _emit(sc.run_scenario(ns.file))
 
 
 def _cmd_run_all(ns):
@@ -140,7 +135,7 @@ def _cmd_action(ns):
 def _cmd_scenario_of_kind(kind):
     def run(ns):
         scenario = sc.load_scenario(ns.scenario)
-        if scenario.kind != kind:
+        if kind is not None and scenario.kind != kind:
             raise ScenarioError(
                 f"scenario {scenario.name!r} has kind {scenario.kind!r}; "
                 f"this command runs {kind!r} scenarios"
@@ -158,8 +153,8 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("run", help="run one scenario file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_run)
+    p.add_argument("scenario", metavar="file")
+    p.set_defaults(func=_cmd_scenario_of_kind(None))
 
     p = subs.add_parser(
         "run-all",

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import mat2
 from .kuranishi import COORDS, DEFAULT_ORDER, groebner_basis, symbolic_pair
-from .poly import MPoly, normal_form
+from .poly import MPoly, normal_form, to_fraction
 from .series import TruncationExhausted, TruncLaurent
 
 ZVAR = "z"
@@ -65,7 +65,7 @@ def wp_series(g2, g3, n):
     """
     if n < 4:
         raise ValueError("truncation order must be at least 4")
-    g2, g3 = Fraction(g2), Fraction(g3)
+    g2, g3 = to_fraction(g2), to_fraction(g3)
     a = {1: g2 / 20, 2: g3 / 28}
     kmax = (n - 1) // 2
     for k in range(3, kmax + 1):
@@ -194,14 +194,9 @@ def build_cocycle(K, N, wp):
         )
 
     def connection(phi):
-        phi_n = phi.truncate(N)
-        return tuple(
-            tuple(
-                TruncLaurent.const(ZVAR, pair.T[i][m], trunc=None)
-                + (-phi_n.scale(pair.Y[i][m]))
-                for m in range(2)
-            )
-            for i in range(2)
+        return mat2.sub(
+            mat2.map_entries(lambda t: TruncLaurent.const(ZVAR, t), pair.T),
+            mat2.map_entries(phi.truncate(N).scale, pair.Y),
         )
 
     a_alpha = connection(phi2.phi_alpha)
@@ -257,22 +252,14 @@ def congruence_check(cocycle, K):
             mat2.mul(g_prev, cocycle.A_beta), mat2.mul(cocycle.A_alpha, g_prev)
         )
         residual = _reduce_matrix(mat2.sub(d_g, rhs), basis)
-        reliable = None
-        for entry in mat2.entries(residual):
-            if entry.trunc is not None:
-                reliable = entry.trunc if reliable is None else min(reliable, entry.trunc)
+        truncs = [s.trunc for s in mat2.entries(residual) if s.trunc is not None]
+        reliable = min(truncs, default=None)
         failure = None
-        for i in range(2):
-            for m in range(2):
-                entry = residual[i][m]
-                if not entry.is_zero_shown():
-                    e = min(entry.coeffs)
-                    failure = (
-                        f"degree {k}, entry ({i},{m}), z^{e}: "
-                        f"{entry.coeffs[e]}"
-                    )
-                    break
-            if failure:
+        for n, entry in enumerate(mat2.entries(residual)):
+            if not entry.is_zero_shown():
+                e = min(entry.coeffs)
+                failure = (f"degree {k}, entry ({n // 2},{n % 2}), "
+                           f"z^{e}: {entry.coeffs[e]}")
                 break
         degrees.append(DegreeResidual(k, failure is None, reliable, failure))
     return CongruenceReport(K, cocycle.N, all(d.ok for d in degrees), tuple(degrees))

@@ -35,10 +35,10 @@ back to the input.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .poly import MPoly, _merge, _signed_sum
+from .poly import MPoly, _merge, _signed_sum, _wrap
 
 ZVARS = ("z",)
 NEG_INF = float("-inf")
@@ -50,13 +50,14 @@ def z_const(c):
 def z_gen():
     return MPoly.gen(ZVARS, "z")
 
-def z_power(k, c=1):
-    return MPoly(ZVARS, {(k,): Fraction(c)})
+def z_power(k):
+    return MPoly(ZVARS, {(k,): 1})
 
 
 class DiffOp:
     """Normal-form operator: map from d-power k >= 0 to a nonzero
-    coefficient polynomial in z."""
+    coefficient polynomial in z.  A coefficient is an MPoly in ("z",)
+    or a rational, which ``to_fraction`` admits."""
 
     __slots__ = ("coeffs",)
 
@@ -65,8 +66,10 @@ class DiffOp:
         for k, f in (coeffs or {}).items():
             if not isinstance(k, int) or k < 0:
                 raise ValueError("d-powers must be nonnegative integers")
-            if isinstance(f, (int, Fraction)):
+            if not isinstance(f, MPoly):
                 f = z_const(f)
+            elif f.variables != ZVARS:
+                raise ValueError(f"coefficient in {f.variables}, expected {ZVARS}")
             if f:
                 clean[k] = f
         self.coeffs = clean
@@ -90,11 +93,10 @@ class DiffOp:
     def _coerce(self, other):
         if isinstance(other, DiffOp):
             return other
-        if isinstance(other, (int, Fraction)):
-            return DiffOp({0: z_const(other)})
-        if isinstance(other, MPoly):
+        try:
             return DiffOp({0: other})
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -234,20 +236,12 @@ class Membership:
         gen = "z*d" if d == 1 else f"z^{d}*d"
         parts = []
         for cof, k in self.certificate:
-            if k == 0:
-                parts.append(_wrap_coeff(str(cof)))
-                continue
-            g = f"({gen})" if k == 1 else f"({gen})^{k}"
             cstr = str(cof)
-            if cstr == "1":
-                parts.append(g)
-            else:
-                parts.append(f"{_wrap_coeff(cstr)}*{g}")
+            factors = [] if k and cstr == "1" else [_wrap(cstr)]
+            if k:
+                factors.append(f"({gen})" if k == 1 else f"({gen})^{k}")
+            parts.append("*".join(factors))
         return " + ".join(parts) if parts else "0"
-
-
-def _wrap_coeff(s):
-    return f"({s})" if (" " in s or s.startswith("-")) else s
 
 
 def _poly_valuation(f):
@@ -311,26 +305,27 @@ class DiffOpParseError(ValueError):
         self.position = position
 
 
+# whitespace, an ASCII integer, a symbol, or any other character; the
+# last group makes every character match something, so none is skipped
+_TOKEN = re.compile(r"\s+|([0-9]+)|([-dz+*^()])|(.)", re.DOTALL)
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "dz+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise DiffOpParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        digits, symbol, other = m.groups()
+        i = m.start()
+        if digits:
+            try:
+                tokens.append(("int", int(digits), i))
+            except ValueError:  # past the int-string digit limit
+                raise DiffOpParseError(
+                    f"integer literal of {len(digits)} digits is too long", i
+                ) from None
+        elif symbol:
+            tokens.append((symbol, symbol, i))
+        elif other:
+            raise DiffOpParseError(f"unexpected character {other!r}", i)
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -399,8 +394,8 @@ class _Parser:
 
 
 def parse_diffop(text):
-    """Parse the tiny infix grammar (tokens: d, z, integers, + - * ^ and
-    parentheses) into a normalized operator."""
+    """Parse the tiny infix grammar (tokens: d, z, ASCII integers,
+    + - * ^ and parentheses) into a normalized operator."""
     parser = _Parser(_tokenize(text))
     try:
         result = parser.expr()

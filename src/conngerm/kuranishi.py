@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import mat2
-from .poly import MonomialOrder, MPoly, buchberger, normal_form
+from .poly import MonomialOrder, MPoly, buchberger, normal_form, to_coeff, to_fraction
 
 COORDS = ("x0", "x", "x12", "x21", "y0", "y", "y12", "y21")
 DEFAULT_ORDER = MonomialOrder("degrevlex", COORDS)
@@ -63,7 +63,8 @@ class MatPair:
 
     @classmethod
     def from_coords(cls, x0=0, x=0, x12=0, x21=0, y0=0, y=0, y12=0, y21=0):
-        f = Fraction
+        """The pair at the given coordinates, rationals or polynomials."""
+        f = to_coeff
         return cls(
             mat2.mat(f(x0) + f(x), f(x12), f(x21), f(x0) - f(x)),
             mat2.mat(f(y0) + f(y), f(y12), f(y21), f(y0) - f(y)),
@@ -84,12 +85,7 @@ class MatPair:
 
 def symbolic_pair():
     """The pair (T, Y) in the eight coordinate generators."""
-    x0, x, x12, x21 = _gen("x0"), _gen("x"), _gen("x12"), _gen("x21")
-    y0, y, y12, y21 = _gen("y0"), _gen("y"), _gen("y12"), _gen("y21")
-    return MatPair(
-        mat2.mat(x0 + x, x12, x21, x0 - x),
-        mat2.mat(y0 + y, y12, y21, y0 - y),
-    )
+    return MatPair.from_coords(**{n: _gen(n) for n in COORDS})
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,8 @@ def segre_check(xi, lam):
 
     Accepts rational or symbolic (MPoly) inputs.
     """
-    xi = tuple(xi)
-    lam = tuple(lam)
+    xi = tuple(map(to_coeff, xi))
+    lam = tuple(map(to_coeff, lam))
     if len(xi) != 3 or len(lam) != 2:
         raise ValueError("need a 3-vector xi and a 2-vector lam")
     s = tuple(lam[0] * c for c in xi)
@@ -254,10 +250,12 @@ def count_points_mod_p(p):
     if p <= _MAX_PRIME and not _is_prime(p):  # trial division only below the cap
         raise ValueError(f"{p} is not prime")
     budget = _enum_budget()
-    if p > _MAX_PRIME or p**6 > budget:
+    if p > _MAX_PRIME:  # p^6 itself may be too long to print
         raise ValueError(
-            f"enumeration budget exceeded: p^6 = {p**6} > {min(budget, _MAX_PRIME**6)}"
+            f"enumeration budget exceeded: primes above {_MAX_PRIME} are not enumerated"
         )
+    if p**6 > budget:
+        raise ValueError(f"enumeration budget exceeded: p^6 = {p**6} > {budget}")
     fp = range(p)
     count = 0
     for x, x12, x21 in product(fp, fp, fp):
@@ -382,7 +380,7 @@ def orbit_separation(z1, z2):
     Tr(T^2) = z1, Tr(Y^2) = z2: two (signs of z) when z1*z2 != 0, one
     otherwise.  Diagonal normal forms need sqrt(z1/2) and sqrt(z2/2);
     irrational roots are adjoined symbolically as r1, r2."""
-    z1, z2 = Fraction(z1), Fraction(z2)
+    z1, z2 = to_fraction(z1), to_fraction(z2)
     c1, c2 = z1 * HALF, z2 * HALF
     zero = MPoly.zero(SQRT_VARS)
     extension = []
@@ -402,14 +400,8 @@ def orbit_separation(z1, z2):
         inv = psi(pair)
         return tuple(sqrt_reduce(v, c1, c2) for v in inv.as_tuple())
 
-    reps = []
-    if c1 and c2:
-        reps = [
-            MatPair(diag_t, mat2.mat(b, zero, zero, -b)),
-            MatPair(diag_t, mat2.mat(-b, zero, zero, b)),
-        ]
-    else:
-        reps = [MatPair(diag_t, mat2.mat(b, zero, zero, -b))]
+    signs = (1, -1) if c1 and c2 else (1,)
+    reps = [MatPair(diag_t, mat2.mat(s * b, zero, zero, -s * b)) for s in signs]
 
     z_values = []
     for rep in reps:

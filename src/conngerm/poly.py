@@ -23,7 +23,8 @@ module keeps it by construction and wraps its results with
 Two rules are shared by every sparse sum in the package (polynomials
 here, Laurent series and differential operators elsewhere): ``_merge``
 adds or subtracts two term dicts, and ``_signed_sum`` prints
-(coefficient, factors) pairs in the one signed-sum text format.
+(coefficient, factors) pairs in the one signed-sum text format, with
+``_wrap`` making a printed polynomial one factor.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def to_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def to_coeff(x):
+    """x itself when it is an MPoly, else ``to_fraction(x)``."""
+    return x if isinstance(x, MPoly) else to_fraction(x)
 
 
 def _to_exponent(exp, n):
@@ -145,9 +151,6 @@ class MPoly:
 
     @classmethod
     def const(cls, variables, c):
-        c = to_fraction(c)
-        if not c:
-            return cls(variables, {})
         return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
@@ -353,6 +356,11 @@ def _signed_sum(terms):
         else:
             out.append(body if c > 0 else "-" + body)
     return " ".join(out) if out else "0"
+
+
+def _wrap(text):
+    """A printed polynomial as one factor: parenthesized at a space or a sign."""
+    return f"({text})" if " " in text or text.startswith("-") else text
 
 
 def ring(names):

@@ -631,18 +631,19 @@ def run_scenario_obj(scenario):
     for i, check in enumerate(scenario.checks):
         path = f"checks[{i}]"
         handler = resolve_op(scenario.kind, check.op, path + ".op")
+        # decoding the args, the handler and encoding the expect and the
+        # result may each recurse as deep as the input nests
         try:
             result = handler(check.args, path + ".args")
-        except ScenarioError:
-            raise
-        except (ValueError, TypeError, KeyError, TruncationExhausted) as e:
+            expected = canonical(check.expect)
+        except (ValueError, TypeError, KeyError, TruncationExhausted,
+                RecursionError) as e:
             raise ScenarioError(f"{type(e).__name__}: {e}", path)
         try:
             computed = canonical(result)
             json.dumps(computed)  # the report must be able to carry it
-        except ValueError as e:  # an integer past the int-string digit limit
+        except (ValueError, RecursionError) as e:  # a huge integer, deep nesting
             raise ScenarioError(f"result cannot be encoded: {e}", path)
-        expected = canonical(check.expect)
         mismatches = tuple(_compare(computed, expected or {}, path + ".expect"))
         results.append(
             CheckResult(

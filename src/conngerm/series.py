@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MPoly, _merge, _signed_sum
+from .poly import MPoly, _merge, _signed_sum, _wrap, to_coeff
 
 
 class TruncationExhausted(Exception):
@@ -49,8 +49,7 @@ class TruncLaurent:
                 raise TypeError("exponents must be integers")
             if trunc is not None and k >= trunc:
                 continue
-            if isinstance(c, int):
-                c = Fraction(c)
+            c = to_coeff(c)
             if c:
                 clean[k] = c
         self.coeffs = clean
@@ -191,12 +190,7 @@ class TruncLaurent:
 
     def scale(self, c):
         """Multiply every coefficient by a scalar or MPoly (exact)."""
-        coeffs = {}
-        for k, v in self.coeffs.items():
-            p = v * c if isinstance(v, MPoly) else c * v
-            if p:
-                coeffs[k] = p
-        return TruncLaurent(self.var, coeffs, self.trunc)
+        return self.map_coeffs(lambda v: v * c)
 
     def diff(self):
         """d/dz: z^k -> k z^{k-1}; costs one order of reliability."""
@@ -234,14 +228,13 @@ class TruncLaurent:
 
     def _term(self, k, c):
         """(coefficient, factors) of c*var^k for ``_signed_sum``.  A
-        polynomial coefficient is one factor, in parentheses when it has
-        a space or a sign, and left out when it is 1."""
+        polynomial coefficient is one ``_wrap`` factor, left out when it
+        is 1."""
         factors = [self.var if k == 1 else f"{self.var}^{k}"] if k else []
         if isinstance(c, MPoly):
             cstr = str(c)
             if cstr != "1":
-                wrap = " " in cstr or cstr.startswith("-")
-                factors.insert(0, f"({cstr})" if wrap else cstr)
+                factors.insert(0, _wrap(cstr))
             c = 1
         return c, factors
 
