@@ -16,16 +16,23 @@ import argparse
 import sys
 
 from . import scenarios as sc
+from .poly import int_from_text
 from .scenarios import Check, Scenario, ScenarioError
 
 
-def _rational(text):
-    """A rational flag value in scenario-file form: an int or "p/q"."""
-    try:
-        f = sc._rat(text, None)
-    except ScenarioError as e:
-        raise argparse.ArgumentTypeError(str(e))
-    return sc.canonical(f)
+def _flag(parse):
+    """An argparse type reading with parse; a refused value exits 2."""
+    def read(text):
+        try:
+            return parse(text)
+        except (ScenarioError, ValueError) as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return read
+
+
+# a rational flag is an int or "p/q", as in a scenario file
+_rational = _flag(lambda text: sc.canonical(sc._rat(text, None)))
+_integer = _flag(int_from_text)
 
 
 def _coords(text):
@@ -171,7 +178,7 @@ def build_parser():
                    metavar="Q", help="three rationals for the conic direction")
     p.add_argument("--lam", type=_rational, nargs=2, default=None,
                    metavar="Q", help="two rationals for the line direction")
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=_integer, default=None)
     p.set_defaults(func=_cmd_action)
 
     p = subs.add_parser("git", help="invariants and quotient geometry")
@@ -185,8 +192,8 @@ def build_parser():
     p = subs.add_parser(
         "deform", help="order-by-order glueing congruence check"
     )
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ztrunc", type=int, default=None,
+    p.add_argument("--order", type=_integer, required=True)
+    p.add_argument("--ztrunc", type=_integer, default=None,
                    help="series truncation (default: order + 4)")
     p.add_argument("--g2", type=_rational, default=4)
     p.add_argument("--g3", type=_rational, default=0)
@@ -209,7 +216,7 @@ def build_parser():
     p = subs.add_parser("diffop", help="operator rewriting and membership")
     p.add_argument("action", choices=("normalize", "member"))
     p.add_argument("expr", help="operator expression, e.g. \"(z^2*d)^2\"")
-    p.add_argument("--pole-mult", type=int, default=1, dest="pole_mult")
+    p.add_argument("--pole-mult", type=_integer, default=1, dest="pole_mult")
     p.add_argument("--logarithmic", action="store_true")
     p.set_defaults(func=_cmd_action)
 

@@ -88,10 +88,7 @@ def chase(descriptor):
     if isinstance(descriptor, Leaf):
         return rr_line(descriptor.degree, descriptor.trivial)
     if isinstance(descriptor, Sum):
-        total = CohDims(0, 0)
-        for part in descriptor.parts:
-            total = total + chase(part)
-        return total
+        return sum(map(chase, descriptor.parts), CohDims(0, 0))
     if isinstance(descriptor, Extension):
         left = chase(descriptor.left)
         right = chase(descriptor.right)
@@ -148,10 +145,6 @@ def hypercoh_dims(inp):
 # -- commutator ranks ----------------------------------------------------
 
 
-def _frmat(m):
-    return tuple(tuple(to_fraction(e) for e in row) for row in m)
-
-
 M2_BASIS = (
     ((1, 0), (0, 0)),
     ((0, 1), (0, 0)),
@@ -197,15 +190,10 @@ def d1_rank(a, domain=M2_BASIS):
     a: 2x2 matrix of rationals; domain: basis of a subspace of 2x2
     matrices (defaults to all of M2).
     """
-    a = _frmat(a)
-    flat = [[to_fraction(b[i][j]) for i in range(2) for j in range(2)] for b in domain]
-    if rank_exact(flat) < len(domain):
+    a = mat2.map_entries(to_fraction, a)
+    if rank_exact([mat2.entries(b) for b in domain]) < len(domain):
         raise ValueError("domain basis is linearly dependent")
-    rows = []
-    for b in domain:
-        c = mat2.commutator(a, _frmat(b))
-        rows.append([c[0][0], c[0][1], c[1][0], c[1][1]])
-    return rank_exact(rows)
+    return rank_exact([mat2.entries(mat2.commutator(a, b)) for b in domain])
 
 
 # -- moduli-space formulas ----------------------------------------------

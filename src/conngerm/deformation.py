@@ -71,11 +71,7 @@ def wp_series(g2, g3, n):
     for k in range(3, kmax + 1):
         conv = sum(a[j] * a[k - 1 - j] for j in range(1, k - 1))
         a[k] = 3 * conv / ((2 * k + 3) * (k - 2))
-    coeffs = {-2: Fraction(1)}
-    for k in range(1, kmax + 1):
-        if a[k]:
-            coeffs[2 * k] = a[k]
-    series = TruncLaurent(ZVAR, coeffs, n)
+    series = TruncLaurent(ZVAR, {-2: 1, **{2 * k: c for k, c in a.items()}}, n)
     wp = WeierstrassSeries(g2, g3, n, series)
     residual = ode_residual(wp)
     if not residual.is_zero_shown():

@@ -38,7 +38,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import mat2
-from .poly import MonomialOrder, MPoly, buchberger, normal_form, to_coeff, to_fraction
+from .poly import (MonomialOrder, MPoly, buchberger, int_from_text, normal_form,
+                   to_coeff, to_fraction)
 
 COORDS = ("x0", "x", "x12", "x21", "y0", "y", "y12", "y21")
 DEFAULT_ORDER = MonomialOrder("degrevlex", COORDS)
@@ -200,7 +201,7 @@ def _enum_budget():
     if text is None:
         return _MAX_PRIME**6
     try:
-        budget = int(text)
+        budget = int_from_text(text)
     except ValueError:
         budget = -1
     if budget < 0:

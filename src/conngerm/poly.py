@@ -29,11 +29,13 @@ adds or subtracts two term dicts, and ``_signed_sum`` prints
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
 
 _COEFF_TYPES = (int, Fraction)
+INT_PATTERN = r"[+-]?[0-9]+"  # an integer as text; rationals build on it
 
 
 def to_fraction(x):
@@ -44,6 +46,14 @@ def to_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def int_from_text(text):
+    """An integer written as INT_PATTERN, in ASCII digits; "1_000", " 3" and
+    non-ASCII digits, which int() takes, are a ValueError."""
+    if not re.fullmatch(INT_PATTERN, text):
+        raise ValueError(f"bad integer {text!r}: write ASCII digits")
+    return int(text)
 
 
 def to_coeff(x):

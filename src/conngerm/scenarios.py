@@ -15,23 +15,24 @@ A scenario is a JSON document:
       ]
     }
 
-Exactness rules: every number is an integer or a rational written as the
-string "p/q"; floats are rejected at parse time.  ``kind`` names the
-scenario's home module family; individual checks may call any operation
-whose name is unambiguous (or qualify it as "family.op"), so one
-scenario can bundle the handful of facts that belong to one geometric
-situation.  Each operation declares its arguments once, in its
-``@_handler`` registration: a decoder per name, plus a default when the
-argument is optional.  A missing, unknown or ill-typed argument raises
-ScenarioError naming its path (e.g. ``checks[0].args.variant``); args
-are decoded when a check runs, so a scenario with bad values still
-loads.  A handler returns domain values: a result dataclass, or a dict
-of them where it renames, drops or adds a key.  ``canonical`` encodes
-that result once, a dataclass as the object of its fields; the report
-and the comparison with ``expect`` both read that encoding, and the
-comparison is exact equality.  Reports are deterministic:
-two runs of one scenario produce byte-identical JSON (timing lives
-outside the serialized report).
+Files are read as UTF-8.  Exactness rules: every number is an integer or
+a rational written as the string "p/q"; floats are rejected at parse
+time, and an integer or rational given as text (a CLI flag) is ASCII
+digits with an optional sign.  ``kind`` names the scenario's home module
+family; every operation name is unique across families, and a check
+names it alone or as "family.op", so one scenario can bundle the handful
+of facts that belong to one geometric situation.  Each operation
+declares its arguments once, in its ``@_handler`` registration: a
+decoder per name, plus a default when the argument is optional.  A
+missing, unknown or ill-typed argument raises ScenarioError naming its
+path (e.g. ``checks[0].args.variant``); args are decoded when a check
+runs, so a scenario with bad values still loads.  A handler returns
+domain values: a result dataclass, or a dict of them where it renames,
+drops or adds a key.  ``canonical`` encodes that result once, a
+dataclass as the object of its fields; the report and the comparison
+with ``expect`` both read that encoding, and the comparison is exact
+equality.  Reports are deterministic: two runs of one scenario produce
+byte-identical JSON (timing lives outside the serialized report).
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from pathlib import Path
 
 from . import cohomology, deformation, diffop, kuranishi, mat2, stability
 from .kuranishi import MatPair
-from .poly import MPoly
+from .poly import INT_PATTERN, MPoly
 from .series import TruncationExhausted, TruncLaurent
 
 SCENARIO_VERSION = 1
-KINDS = ("stability", "diffop", "cohomology", "kuranishi", "git", "deform")
+MAX_EXPECT_DEPTH = 64  # bundled expects nest 6 values deep
 
 
 class ScenarioError(Exception):
@@ -90,7 +91,7 @@ def parse_json_exact(text):
 # decoder, or to (decoder, default) when the field is optional.
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(INT_PATTERN + r"(/[0-9]+)?")
 
 
 def _rat(v, path):
@@ -261,16 +262,18 @@ def canonical(v):
 
 # -- operation handlers ---------------------------------------------------
 
-_HANDLERS = {}
+_HANDLERS = {}  # op name -> (family, handler)
 
 
 def _handler(family, op, **spec):
-    """Register fn as the operation family.op with its argument spec.  The
-    registered handler decodes a check's args against the spec and calls
-    fn with the decoded values as keywords."""
+    """Register fn as the operation op, unique across families, with its
+    argument spec.  The registered handler decodes a check's args against
+    the spec and calls fn with the decoded values as keywords."""
+    if op in _HANDLERS:
+        raise ValueError(f"operation {op!r} is already registered")
 
     def deco(fn):
-        _HANDLERS[(family, op)] = lambda args, path: fn(**_fields(spec, args, path))
+        _HANDLERS[op] = family, lambda args, path: fn(**_fields(spec, args, path))
         return fn
 
     return deco
@@ -460,21 +463,13 @@ def _h_hilbert_poly(rank, degree, genus, h):
     }
 
 
-def resolve_op(kind, op, path):
-    if "." in op:
-        matches = [key for key in _HANDLERS if f"{key[0]}.{key[1]}" == op]
-    elif (kind, op) in _HANDLERS:
-        matches = [(kind, op)]
-    else:
-        matches = [key for key in _HANDLERS if key[1] == op]
-    if not matches:
+def resolve_op(op, path):
+    """The handler of op, named alone or as "family.op"."""
+    family, dot, name = op.rpartition(".")
+    entry = _HANDLERS.get(name)
+    if entry is None or (dot and entry[0] != family):
         raise ScenarioError(f"unknown operation {op!r}", path)
-    if len(matches) > 1:
-        raise ScenarioError(
-            f"ambiguous operation {op!r}; qualify as one of "
-            f"{sorted(f'{f}.{o}' for f, o in matches)}", path
-        )
-    return _HANDLERS[matches[0]]
+    return entry[1]
 
 
 # -- scenario and report objects ------------------------------------------
@@ -512,9 +507,10 @@ def scenario_from_obj(obj, source="<memory>"):
     if not doc["name"]:
         raise ScenarioError("scenario needs a nonempty name", source + ".name")
     kind = doc["kind"]
-    if kind not in KINDS:
+    kinds = sorted({family for family, _ in _HANDLERS.values()})
+    if kind not in kinds:
         raise ScenarioError(
-            f"kind must be one of {', '.join(KINDS)}; got {kind!r}",
+            f"kind must be one of {', '.join(kinds)}; got {kind!r}",
             source + ".kind",
         )
     if not doc["checks"]:
@@ -523,7 +519,7 @@ def scenario_from_obj(obj, source="<memory>"):
     for i, c in enumerate(doc["checks"]):
         path = f"{source}.checks[{i}]"
         c = _fields(_CHECK, c, path)
-        resolve_op(kind, c["op"], path + ".op")  # fail fast on unknown ops
+        resolve_op(c["op"], path + ".op")  # fail fast on unknown ops
         checks.append(Check(**c))
     return Scenario(doc["name"], kind, tuple(checks), doc["version"])
 
@@ -531,9 +527,11 @@ def scenario_from_obj(obj, source="<memory>"):
 def load_scenario(path):
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ScenarioError(f"cannot read {p}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"cannot read {p}: not UTF-8 (byte {e.start}: {e.reason})")
     return scenario_from_obj(parse_json_exact(text), source=p.name)
 
 
@@ -625,16 +623,30 @@ def _compare(computed, expect, path):
     return mismatches
 
 
+def _check_depth(v):
+    """Raise RecursionError when v nests values more than MAX_EXPECT_DEPTH
+    levels deep, counting level by level without recursion."""
+    level, depth = [v], 0
+    while level:
+        level = [x for c in level if isinstance(c, (dict, list))
+                 for x in (c.values() if isinstance(c, dict) else c)]
+        depth += 1
+    if depth > MAX_EXPECT_DEPTH:
+        raise RecursionError(f"nesting deeper than {MAX_EXPECT_DEPTH} levels")
+
+
 def run_scenario_obj(scenario):
     start = time.perf_counter()
     results = []
     for i, check in enumerate(scenario.checks):
         path = f"checks[{i}]"
-        handler = resolve_op(scenario.kind, check.op, path + ".op")
+        handler = resolve_op(check.op, path + ".op")
         # decoding the args, the handler and encoding the expect and the
-        # result may each recurse as deep as the input nests
+        # result may each recurse as deep as the input nests; the expect,
+        # which the report carries, is capped first at one fixed depth
         try:
             result = handler(check.args, path + ".args")
+            _check_depth(check.expect)
             expected = canonical(check.expect)
         except (ValueError, TypeError, KeyError, TruncationExhausted,
                 RecursionError) as e:

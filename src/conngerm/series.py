@@ -110,12 +110,7 @@ class TruncLaurent:
                     f"comparison through {bound} needs reliability {bound}, "
                     f"have {s.trunc}"
                 )
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, Fraction(0)) == other.coeffs.get(k, Fraction(0))
-            for k in keys
-            if k < bound
-        )
+        return all(k >= bound for k in (self - other).coeffs)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -202,13 +197,9 @@ class TruncLaurent:
         return TruncLaurent(self.var, coeffs, t)
 
     def map_coeffs(self, fn):
-        """Apply fn to every stored coefficient, dropping zeros."""
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            v = fn(c)
-            if v:
-                coeffs[k] = v
-        return TruncLaurent(self.var, coeffs, self.trunc)
+        """Apply fn to every stored coefficient; the constructor drops zeros."""
+        return TruncLaurent(self.var, {k: fn(c) for k, c in self.coeffs.items()},
+                            self.trunc)
 
     # -- equality and printing -------------------------------------------
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .poly import to_fraction
+from .poly import _signed_sum, to_fraction
 
 LT, EQ, GT = -1, 0, 1
 
@@ -51,34 +52,19 @@ class HilbertPoly:
     def __bool__(self):
         return bool(self.alphas)
 
+    def _coeffs(self):
+        """(i, alphas[i] / i!) for each degree i: the coefficient of m^i."""
+        return [(i, a / factorial(i)) for i, a in enumerate(self.alphas)]
+
     def evaluate(self, m):
         m = to_fraction(m)
-        total = Fraction(0)
-        fact = 1
-        for i, a in enumerate(self.alphas):
-            if i:
-                fact *= i
-            total += a * m**i / fact
-        return total
+        return sum((c * m**i for i, c in self._coeffs()), Fraction(0))
 
     def __str__(self):
-        if not self.alphas:
-            return "0"
-        parts = []
-        fact = 1
-        for i, a in enumerate(self.alphas):
-            if i:
-                fact *= i
-            c = a / fact
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("m" if c == 1 else f"{c}*m")
-            else:
-                parts.append(f"m^{i}" if c == 1 else f"{c}*m^{i}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
+        return _signed_sum(
+            (c, [f"m^{i}" if i > 1 else "m"] if i else [])
+            for i, c in reversed(self._coeffs()) if c
+        )
 
 
 def hilbert_poly_curve(rank, degree, g, h):
@@ -101,16 +87,17 @@ def reduced_poly(p):
     return HilbertPoly([a / lead for a in p.alphas])
 
 
+def _cmp_fr(a, b):
+    return LT if a < b else GT if a > b else EQ
+
+
 def lex_compare(f, g):
     """Eventual comparison f(m) vs g(m) for m >> 0: lexicographic on
-    alpha coefficients from the highest degree down.  Returns LT/EQ/GT."""
+    alpha coefficients from the highest degree down, which is tuple order
+    on the reversed alphas padded to one length.  Returns LT/EQ/GT."""
     n = max(len(f.alphas), len(g.alphas))
-    fa = f.alphas + (Fraction(0),) * (n - len(f.alphas))
-    ga = g.alphas + (Fraction(0),) * (n - len(g.alphas))
-    for i in range(n - 1, -1, -1):
-        if fa[i] != ga[i]:
-            return LT if fa[i] < ga[i] else GT
-    return EQ
+    fa, ga = ((0,) * (n - len(p.alphas)) + p.alphas[::-1] for p in (f, g))
+    return _cmp_fr(fa, ga)
 
 
 @dataclass(frozen=True)
@@ -155,17 +142,10 @@ class StabilityVerdict:
 
 def _classify(comparisons):
     """comparisons: list of LT/EQ/GT of sub vs ambient."""
-    witness_gt = next((i for i, c in enumerate(comparisons) if c == GT), None)
-    if witness_gt is not None:
-        return "unstable", witness_gt
-    witness_eq = next((i for i, c in enumerate(comparisons) if c == EQ), None)
-    if witness_eq is not None:
-        return "strictly-semistable", witness_eq
+    for verdict, c in (("unstable", GT), ("strictly-semistable", EQ)):
+        if c in comparisons:
+            return verdict, comparisons.index(c)
     return "stable", None
-
-
-def _cmp_fr(a, b):
-    return LT if a < b else GT if a > b else EQ
 
 
 def stability_verdict(ambient, subobjects):

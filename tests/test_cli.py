@@ -226,6 +226,40 @@ def test_rational_flags_take_only_integers_and_p_over_q(capsys, value):
     assert "bad rational" in err and "Traceback" not in err
 
 
+INTEGER_FLAGS = {
+    "--prime": ["kuranishi", "count", "--prime"],
+    "--order": ["deform", "--order"],
+    "--ztrunc": ["deform", "--order", "2", "--ztrunc"],
+    "--pole-mult": ["diffop", "member", "z*d", "--pole-mult"],
+}
+
+
+@pytest.mark.parametrize("value", ["٣", "1_3", " 3", "1/2", "1e3"])
+@pytest.mark.parametrize("flag", sorted(INTEGER_FLAGS))
+def test_integer_flags_take_only_ascii_digits(capsys, flag, value):
+    with pytest.raises(SystemExit) as e:
+        main(INTEGER_FLAGS[flag] + [value])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert f"argument {flag}: bad integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["٣٠٠٠", "1_000", " 3000"])
+def test_enum_budget_takes_only_ascii_digits(capsys, monkeypatch, value):
+    monkeypatch.setenv("CONNGERM_ENUM_BUDGET", value)
+    code, out, err = run_cli(capsys, "kuranishi", "count", "--prime", "5")
+    assert code == 2 and out == ""
+    assert "CONNGERM_ENUM_BUDGET must be a nonnegative integer" in err
+
+
+def test_integer_flags_keep_signs(capsys, monkeypatch):
+    monkeypatch.setenv("CONNGERM_ENUM_BUDGET", "+20000")
+    code, out, _ = run_cli(capsys, "kuranishi", "count", "--prime", "+5")
+    assert code == 0 and json.loads(out)["checks"][0]["args"] == {"prime": 5}
+    code, _, err = run_cli(capsys, "diffop", "member", "z*d", "--pole-mult", "-1")
+    assert code == 2 and "pole multiplicity >= 1" in err
+
+
 def test_rational_flags_keep_signs_and_fractions(capsys):
     code, out, _ = run_cli(capsys, "git", "orbits", "--z1=-3/6", "--z2=+2")
     assert code == 0

@@ -133,3 +133,43 @@ def test_d1_rank_op_refuses_a_dependent_domain(tmp_path, capsys):
     assert main(["run", str(f)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "linearly dependent" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [100, 990])
+def test_an_expect_past_the_depth_cap_is_malformed_on_every_python(tmp_path, capsys,
+                                                                    depth):
+    bad = tmp_path / "b_deep.json"
+    # written by hand: json.dumps itself recurses once per level
+    expect = '{"h0": ' * depth + "{}" + "}" * depth
+    bad.write_text(json.dumps(_expect_of_depth(0)).replace("{}", expect))
+    start = time.perf_counter()
+    assert main(["run", str(bad)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    # past the decoder's own limit (990 levels on some versions) the JSON
+    # parse fails first, also as malformed input
+    assert out == "" and "recursion" in err.lower() and "Traceback" not in err
+    if depth == 100:
+        assert "RecursionError: nesting deeper than 64 levels (at checks[0])" in err
+    (tmp_path / "a_good.json").write_text((bundled_dir() / "fiber_dims.json").read_text())
+    agg = run_all(tmp_path)
+    by_name = {r.scenario: r for r in agg.reports}
+    assert by_name["fiber_dims"].passed
+    assert "recursion" in by_name["b_deep.json"].error.lower()
+    json.loads(agg.to_json())
+
+
+def test_a_scenario_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
+    bad = tmp_path / "b_latin.json"
+    bad.write_bytes(b"\x80" + json.dumps(_expect_of_depth(1)).encode())
+    start = time.perf_counter()
+    assert main(["run", str(bad)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "not UTF-8" in err and "Traceback" not in err
+    (tmp_path / "a_good.json").write_text((bundled_dir() / "fiber_dims.json").read_text())
+    agg = run_all(tmp_path)
+    by_name = {r.scenario: r for r in agg.reports}
+    assert by_name["fiber_dims"].passed
+    assert "not UTF-8" in by_name["b_latin.json"].error
+    json.loads(agg.to_json())

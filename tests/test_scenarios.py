@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conngerm import scenarios
 from conngerm.cli import main
 from conngerm.kuranishi import MatPair
 from conngerm.poly import MPoly
@@ -15,6 +16,7 @@ from conngerm.scenarios import (
     load_scenario,
     parse_json_exact,
     report_from_json,
+    resolve_op,
     run_all,
     run_scenario,
     run_scenario_obj,
@@ -316,3 +318,21 @@ def test_result_too_large_for_json_fails_its_own_check(tmp_path, capsys):
     assert by_name["fiber_dims"].passed
     assert "result cannot be encoded" in by_name["b_big.json"].error
     json.loads(agg.to_json())
+
+
+def test_op_names_are_one_index_across_families(monkeypatch):
+    assert resolve_op("git.psi", "op") is resolve_op("psi", "op")
+    for op in ("kuranishi.psi", ".psi", "git.", "psi.git", "git.git.psi"):
+        with pytest.raises(ScenarioError, match="unknown operation"):
+            resolve_op(op, "op")
+    monkeypatch.setattr(scenarios, "_HANDLERS", dict(scenarios._HANDLERS))
+    with pytest.raises(ValueError, match="already registered"):
+        scenarios._handler("kuranishi", "psi")(lambda: None)
+    assert resolve_op("git.psi", "op") is resolve_op("psi", "op")
+
+
+def test_kinds_are_the_registered_families():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_obj({**GOOD, "kind": "sheaves"})
+    assert ("kind must be one of cohomology, deform, diffop, git, kuranishi, "
+            "stability; got 'sheaves'") in str(err.value)

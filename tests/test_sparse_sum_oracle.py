@@ -7,8 +7,11 @@ evaluation.  The references below are the former per-class
 implementations, kept verbatim apart from being module-level functions
 (and the series printer reading the reference polynomial printer), so
 every rendering and reduction is compared with the old rules on seeded
-inputs."""
+inputs.  Hilbert polynomials print through the same renderer; the one
+intended difference is a coefficient -1 at degree >= 1, which now
+prints "-m" like every other printer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from conngerm.diffop import DiffOp, render
 from conngerm.kuranishi import SQRT_VARS, sqrt_reduce
 from conngerm.poly import MPoly
 from conngerm.series import TruncLaurent
+from conngerm.stability import HilbertPoly
 
 rng = random.Random(1313)
 VARS = ("x", "y", "z")
@@ -111,6 +115,26 @@ def ref_series_str(self):
     if self.trunc is not None:
         body += f" + O({self.var}^{self.trunc})"
     return body
+
+
+def ref_hilbert_str(self):
+    if not self.alphas:
+        return "0"
+    parts = []
+    fact = 1
+    for i, a in enumerate(self.alphas):
+        if i:
+            fact *= i
+        c = a / fact
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append("m" if c == 1 else f"{c}*m")
+        else:
+            parts.append(f"m^{i}" if c == 1 else f"{c}*m^{i}")
+    return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
 # -- the former reduction and substitution ------------------------------
@@ -259,3 +283,20 @@ def test_subs_rejects_a_float_value():
     for value in (0.5, 0.0):
         with pytest.raises(TypeError):
             (x * y + 1).subs({"x": value})
+
+
+def test_hilbert_poly_printer_matches_the_former_printer():
+    hrng = random.Random(2020)
+    seen = 0
+    while seen < 300:
+        p = HilbertPoly([hrng.choice((0, 0, 1, -1, 2, -3, Fraction(-1, 2), Fraction(5, 3)))
+                         for _ in range(hrng.randint(0, 4))])
+        if any(a / math.factorial(i) == -1 for i, a in enumerate(p.alphas) if i):
+            continue
+        assert str(p) == ref_hilbert_str(p), p.alphas
+        seen += 1
+
+
+def test_hilbert_poly_prints_minus_one_as_a_sign():
+    assert str(HilbertPoly([0, -1])) == "-m"
+    assert str(HilbertPoly([3, 0, -2])) == "-m^2 + 3"
