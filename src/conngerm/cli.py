@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from . import scenarios as sc
+from .deformation import SAFETY_MARGIN
 from .poly import int_from_text
 from .scenarios import Check, Scenario, ScenarioError
 
@@ -116,7 +117,7 @@ _ACTIONS = {
     ("deform", None): lambda ns: (
         "congruence",
         {"order": ns.order,
-         "ztrunc": ns.order + 4 if ns.ztrunc is None else ns.ztrunc,
+         "ztrunc": ns.order + SAFETY_MARGIN if ns.ztrunc is None else ns.ztrunc,
          "g2": ns.g2, "g3": ns.g3},
         {"ok": True},
     ),
@@ -194,7 +195,7 @@ def build_parser():
     )
     p.add_argument("--order", type=_integer, required=True)
     p.add_argument("--ztrunc", type=_integer, default=None,
-                   help="series truncation (default: order + 4)")
+                   help=f"series truncation (default: order + {SAFETY_MARGIN})")
     p.add_argument("--g2", type=_rational, default=4)
     p.add_argument("--g3", type=_rational, default=0)
     p.set_defaults(func=_cmd_action, action=None)

@@ -44,6 +44,7 @@ from .series import TruncationExhausted, TruncLaurent
 
 ZVAR = "z"
 SAFETY_MARGIN = 4  # one z-order per deformation degree, plus the pole of phi
+MAX_TRUNC = 64  # the series work grows faster than linearly in the truncation
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ def wp_series(g2, g3, n):
     """
     if n < 4:
         raise ValueError("truncation order must be at least 4")
+    if n > MAX_TRUNC:
+        raise ValueError(f"truncation order {n} exceeds the cap {MAX_TRUNC}")
     g2, g3 = to_fraction(g2), to_fraction(g3)
     a = {1: g2 / 20, 2: g3 / 28}
     kmax = (n - 1) // 2
@@ -90,7 +93,6 @@ def ode_residual(wp):
 class PhiCochain:
     """The two branches of the 0-cochain splitting the cocycle dz/z^k."""
 
-    k: int
     phi_alpha: TruncLaurent
     phi_beta: TruncLaurent
 
@@ -115,7 +117,7 @@ def phi_cochain(k, wp):
     alpha = beta - TruncLaurent.monomial(ZVAR, -k, 1)
     if any(e < 0 for e in alpha.coeffs):
         raise AssertionError("phi_alpha fails to be regular at the origin")
-    return PhiCochain(k, alpha, beta)
+    return PhiCochain(alpha, beta)
 
 
 # -- the deformation cocycle ----------------------------------------------
@@ -134,7 +136,6 @@ class DeformationCocycle:
 
     K: int
     N: int
-    wp: WeierstrassSeries
     G: tuple
     A_alpha: tuple
     A_beta: tuple
@@ -197,9 +198,7 @@ def build_cocycle(K, N, wp):
 
     a_alpha = connection(phi2.phi_alpha)
     a_beta = connection(phi2.phi_beta)
-    return DeformationCocycle(
-        K, N, wp, tuple(g_slices), a_alpha, a_beta, basis
-    )
+    return DeformationCocycle(K, N, tuple(g_slices), a_alpha, a_beta, basis)
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,6 @@ class DegreeResidual:
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    K: int
-    N: int
     ok: bool
     degrees: tuple
 
@@ -258,7 +255,7 @@ def congruence_check(cocycle, K):
                            f"z^{e}: {entry.coeffs[e]}")
                 break
         degrees.append(DegreeResidual(k, failure is None, reliable, failure))
-    return CongruenceReport(K, cocycle.N, all(d.ok for d in degrees), tuple(degrees))
+    return CongruenceReport(all(d.ok for d in degrees), tuple(degrees))
 
 
 def commutes_mod_ideal():

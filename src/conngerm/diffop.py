@@ -42,6 +42,7 @@ from .poly import MPoly, _merge, _signed_sum, _wrap
 
 ZVARS = ("z",)
 NEG_INF = float("-inf")
+MAX_DEGREE = 64  # d-order plus z-degree of an operator read from text
 
 
 def z_const(c):
@@ -299,6 +300,12 @@ def render(op):
 # -- parsing ------------------------------------------------------------
 
 
+def _degree(op):
+    """The largest j + k over the terms z^j d^k, 0 for the zero operator.
+    The degree of a product is the sum of the degrees."""
+    return max((k + f.degree() for k, f in op.coeffs.items()), default=0)
+
+
 class DiffOpParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -330,10 +337,21 @@ def _tokenize(text):
     return tokens
 
 
+def _check_degree(degree, pos):
+    if degree > MAX_DEGREE:
+        raise DiffOpParseError(
+            f"operator degree {degree} exceeds the cap {MAX_DEGREE}", pos
+        )
+
+
 class _Parser:
     """Recursive descent for: expr := term (('+'|'-') term)*;
     term := factor ('*' factor)*; factor := atom ('^' int)?;
-    atom := 'd' | 'z' | int | '(' expr ')' | '-' atom."""
+    atom := 'd' | 'z' | int | '(' expr ')' | '-' atom.
+
+    Each product and power is refused before it is computed if its
+    degree would pass MAX_DEGREE; a power counts each factor as at least
+    degree 1, so a constant's exponent is capped too."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -364,16 +382,19 @@ class _Parser:
     def term(self):
         result = self.factor()
         while self.peek() == "*":
-            self.next()
-            result = result * self.factor()
+            pos = self.next()[2]
+            rhs = self.factor()
+            _check_degree(_degree(result) + _degree(rhs), pos)
+            result = result * rhs
         return result
 
     def factor(self):
         base = self.atom()
         if self.peek() == "^":
-            self.next()
-            tok = self.expect("int")
-            base = base**tok[1]
+            pos = self.next()[2]
+            n = self.expect("int")[1]
+            _check_degree(n * max(_degree(base), 1), pos)
+            base = base**n
         return base
 
     def atom(self):

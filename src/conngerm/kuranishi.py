@@ -32,21 +32,18 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import mat2
-from .poly import (MonomialOrder, MPoly, buchberger, int_from_text, normal_form,
-                   to_coeff, to_fraction)
+from .poly import MonomialOrder, MPoly, buchberger, normal_form, to_coeff, to_fraction
 
 COORDS = ("x0", "x", "x12", "x21", "y0", "y", "y12", "y21")
 DEFAULT_ORDER = MonomialOrder("degrevlex", COORDS)
 LEX_ORDER = MonomialOrder("lex", COORDS)
 
-ENUM_BUDGET_ENV = "CONNGERM_ENUM_BUDGET"
-_MAX_PRIME = 13
+_MAX_PRIME = 13  # caps the p^3 fibres that count_points_mod_p walks
 
 HALF = Fraction(1, 2)
 
@@ -193,24 +190,6 @@ def _is_prime(n):
     return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
 
-def _enum_budget():
-    """The cap on p^6 that CONNGERM_ENUM_BUDGET sets, 13^6 when unset.
-    Anything but a nonnegative integer is a ValueError naming the
-    variable."""
-    text = os.environ.get(ENUM_BUDGET_ENV)
-    if text is None:
-        return _MAX_PRIME**6
-    try:
-        budget = int_from_text(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError(
-            f"{ENUM_BUDGET_ENV} must be a nonnegative integer, got {text!r}"
-        )
-    return budget
-
-
 _INDEX_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -245,18 +224,15 @@ def count_points_mod_p(p):
     coefficient rows (-x12, x, 0), (-x21, 0, x), (0, -x21, x12), so the
     fibre over s holds p^(3 - r) points, r the rank of that matrix over
     F_p.  Summing over the p^3 values of s counts all p^6 pairs (s, t)
-    in O(p^3) steps.  The budget still caps p^6, the size of the space
-    the count covers.
+    in O(p^3) steps.  Primes above _MAX_PRIME are refused before any
+    trial division, so a huge p costs nothing.
     """
-    if p <= _MAX_PRIME and not _is_prime(p):  # trial division only below the cap
-        raise ValueError(f"{p} is not prime")
-    budget = _enum_budget()
-    if p > _MAX_PRIME:  # p^6 itself may be too long to print
+    if p > _MAX_PRIME:
         raise ValueError(
             f"enumeration budget exceeded: primes above {_MAX_PRIME} are not enumerated"
         )
-    if p**6 > budget:
-        raise ValueError(f"enumeration budget exceeded: p^6 = {p**6} > {budget}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     fp = range(p)
     count = 0
     for x, x12, x21 in product(fp, fp, fp):

@@ -61,7 +61,6 @@ class ScenarioError(Exception):
         if position is not None:
             message = f"{message} (at {position})"
         super().__init__(message)
-        self.position = position
 
 
 def _reject_float(_):
@@ -489,7 +488,6 @@ class Scenario:
     name: str
     kind: str
     checks: tuple
-    version: int = SCENARIO_VERSION
 
 
 _SCENARIO = {"version": (_int, 0), "name": (_str, ""), "kind": (_str, ""),
@@ -521,7 +519,7 @@ def scenario_from_obj(obj, source="<memory>"):
         c = _fields(_CHECK, c, path)
         resolve_op(c["op"], path + ".op")  # fail fast on unknown ops
         checks.append(Check(**c))
-    return Scenario(doc["name"], kind, tuple(checks), doc["version"])
+    return Scenario(doc["name"], kind, tuple(checks))
 
 
 def load_scenario(path):

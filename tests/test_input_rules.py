@@ -1,6 +1,7 @@
 """Each input rule has one home: numbers from Python callers go through
-``poly.to_fraction``, operator text takes ASCII digits only, and input
-nested past the recursion limit is malformed input, not a crash."""
+``poly.to_fraction``, operator text takes ASCII digits only, input
+nested past the recursion limit is malformed input, not a crash, and
+work that grows faster than linearly is capped where it is done."""
 
 import json
 import time
@@ -8,8 +9,8 @@ import time
 import pytest
 
 from conngerm.cli import main
-from conngerm.deformation import wp_series
-from conngerm.diffop import DiffOp, DiffOpParseError, parse_diffop
+from conngerm.deformation import MAX_TRUNC, wp_series
+from conngerm.diffop import MAX_DEGREE, DiffOp, DiffOpParseError, parse_diffop
 from conngerm.kuranishi import MatPair, count_points_mod_p, orbit_separation, segre_check
 from conngerm.poly import MPoly
 from conngerm.scenarios import bundled_dir, run_all, run_scenario_obj, scenario_from_obj
@@ -172,4 +173,70 @@ def test_a_scenario_file_that_is_not_utf8_is_malformed_input(tmp_path, capsys):
     by_name = {r.scenario: r for r in agg.reports}
     assert by_name["fiber_dims"].passed
     assert "not UTF-8" in by_name["b_latin.json"].error
+    json.loads(agg.to_json())
+
+
+def test_caps_accept_64_and_refuse_65():
+    assert MAX_DEGREE == MAX_TRUNC == 64
+    assert parse_diffop("d^64").order() == 64
+    assert parse_diffop("z^32*d^32") == DiffOp({32: MPoly(("z",), {(32,): 1})})
+    for expr, position in [("d^65", 1), ("z^33*d^32", 4), ("2^65", 1)]:
+        with pytest.raises(DiffOpParseError) as e:
+            parse_diffop(expr)
+        assert "operator degree 65 exceeds the cap 64" in str(e.value)
+        assert e.value.position == position
+    assert wp_series(4, 0, 64).trunc == 64
+    with pytest.raises(ValueError, match="truncation order 65 exceeds the cap 64"):
+        wp_series(4, 0, 65)
+
+
+CAPPED = {  # file -> (kind, op, args, error); the last four ran past 5 s uncapped
+    "degree_64": ("diffop", "normalize", {"expr": "z^32*d^32"}, None),
+    "degree_65": ("diffop", "normalize", {"expr": "z^33*d^32"},
+                  "operator degree 65 exceeds the cap 64 (at position 4)"),
+    "trunc_64": ("deform", "wp_coeffs",
+                 {"g2": 4, "g3": 0, "ztrunc": 64, "exponents": [62]}, None),
+    "trunc_65": ("deform", "wp_coeffs",
+                 {"g2": 4, "g3": 0, "ztrunc": 65, "exponents": [62]},
+                 "truncation order 65 exceeds the cap 64"),
+    "huge_power": ("diffop", "normalize", {"expr": "d^99999999"},
+                   "operator degree 99999999 exceeds the cap 64 (at position 1)"),
+    "dense_power": ("diffop", "normalize", {"expr": "(z^3*d+d^2)^400"},
+                    "operator degree 1600 exceeds the cap 64 (at position 11)"),
+    "huge_order": ("deform", "congruence",
+                   {"order": 100000, "ztrunc": 100004, "g2": 4, "g3": 0},
+                   "truncation order 100004 exceeds the cap 64"),
+    "huge_ztrunc": ("deform", "congruence",
+                    {"order": 4, "ztrunc": 100000, "g2": 4, "g3": 0},
+                    "truncation order 100000 exceeds the cap 64"),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diffop", "normalize", "d^99999999"], CAPPED["huge_power"][3]),
+    (["diffop", "normalize", "(z^3*d+d^2)^400"], CAPPED["dense_power"][3]),
+    (["deform", "--order", "100000"], CAPPED["huge_order"][3]),
+    (["deform", "--order", "4", "--ztrunc", "100000"], CAPPED["huge_ztrunc"][3]),
+], ids=["huge-power", "dense-power", "huge-order", "huge-ztrunc"])
+def test_input_past_a_cap_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "Traceback" not in err
+
+
+def test_each_capped_file_fails_alone_in_run_all(tmp_path):
+    for name, (kind, op, args, _) in CAPPED.items():
+        doc = {"version": 1, "name": name, "kind": kind,
+               "checks": [{"op": op, "args": args}]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "good.json").write_text((bundled_dir() / "fiber_dims.json").read_text())
+    start = time.perf_counter()
+    agg = run_all(tmp_path)
+    assert time.perf_counter() - start < 2
+    errors = {r.scenario.removesuffix(".json"): r.error for r in agg.reports}
+    assert errors.pop("fiber_dims") is None
+    for name, (*_, message) in CAPPED.items():
+        assert (errors[name] is None) if message is None else (message in errors[name])
     json.loads(agg.to_json())
