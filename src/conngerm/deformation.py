@@ -17,13 +17,14 @@ at the origin.  The compatibility condition is the congruence
     dG = G*A_beta - A_alpha*G   modulo (q1, q2, q3) + m^{K+1}
 
 per deformation degree k <= K, where m is the maximal ideal of the
-coordinate ring and the q's are the quadratic obstructions.  The
-residual at each degree is a matrix of Laurent series with polynomial
-coefficients; reducing every coefficient modulo a Groebner basis of the
-quadric ideal must give 0 identically within the reliable z-range.
-Degrees are tracked separately (G_j carries the exact monomial z^{-j})
-so each multiplication by Y/z costs exactly one order of z-reliability
-and the bookkeeping stays sharp.
+coordinate ring and the q's are the quadratic obstructions.  Degrees are
+tracked separately (G_j = z^{-j} P_j with P_j a polynomial matrix) so
+each multiplication by Y/z costs exactly one order of z-reliability and
+the bookkeeping stays sharp.  The residual at each degree is a sum of
+scalar Laurent weights times polynomial matrices (see congruence_check).
+Reduction modulo a Groebner basis of the quadric ideal is linear, so it
+runs once per entry and class of proportional weight vectors, not once
+per z-exponent, and must give 0 within the reliable z-range.
 
 The Weierstrass coefficients are generated from the second-order ODE
 (p'' = 6 p^2 - g2/2, which pins the recurrence below) and validated
@@ -124,28 +125,32 @@ def phi_cochain(k, wp):
 
 
 @dataclass(frozen=True)
+class Connection:
+    """One chart's connection matrix T - phi*Y, kept factored: T and Y are
+    polynomial matrices, phi is the chart's scalar Laurent series."""
+
+    T: tuple
+    Y: tuple
+    phi: TruncLaurent
+
+
+@dataclass(frozen=True)
 class DeformationCocycle:
     """Graded transition data of the deformed connection pair.
 
     G[j] is the degree-j slice of e^{Y/z} (a 2x2 matrix of exact Laurent
     monomials z^{-j} with polynomial matrix coefficients, reduced modulo
-    the quadric ideal); A_alpha and A_beta are the degree-1 connection
-    matrices on the two charts; basis is the Groebner basis used for
-    all reductions.
+    the quadric ideal); A_alpha and A_beta are the degree-1 connections
+    on the two charts, as ``Connection`` values; basis is the Groebner
+    basis used for all reductions.
     """
 
     K: int
     N: int
     G: tuple
-    A_alpha: tuple
-    A_beta: tuple
+    A_alpha: Connection
+    A_beta: Connection
     basis: tuple
-
-
-def _reduce_matrix(m, basis):
-    return mat2.map_entries(
-        lambda s: s.map_coeffs(lambda c: normal_form(c, basis, DEFAULT_ORDER)), m
-    )
 
 
 def build_cocycle(K, N, wp):
@@ -190,14 +195,8 @@ def build_cocycle(K, N, wp):
             )
         )
 
-    def connection(phi):
-        return mat2.sub(
-            mat2.map_entries(lambda t: TruncLaurent.const(ZVAR, t), pair.T),
-            mat2.map_entries(phi.truncate(N).scale, pair.Y),
-        )
-
-    a_alpha = connection(phi2.phi_alpha)
-    a_beta = connection(phi2.phi_beta)
+    a_alpha = Connection(pair.T, pair.Y, phi2.phi_alpha.truncate(N))
+    a_beta = Connection(pair.T, pair.Y, phi2.phi_beta.truncate(N))
     return DeformationCocycle(K, N, tuple(g_slices), a_alpha, a_beta, basis)
 
 
@@ -225,37 +224,79 @@ def congruence_check(cocycle, K):
     """Per-degree residual of dG = G*A_beta - A_alpha*G mod the ideal.
 
     At deformation degree k the only contribution of the degree-1
-    connection matrices is through the degree-(k-1) slice of G, so
+    connection matrices is through the degree-(k-1) slice of G, so with
+    G_j = z^{-j} P_j and A_gamma = T_gamma - phi_gamma Y_gamma
 
-        R_k = d(G_k) - (G_{k-1}*A_beta - A_alpha*G_{k-1}),
+        R_k = d(G_k) - (G_{k-1}*A_beta - A_alpha*G_{k-1})
+            = (-k z^{-k-1}) P_k + z^{1-k} (T_alpha P - P T_beta)
+              + (z^{1-k} phi_beta) P Y_beta - (z^{1-k} phi_alpha) Y_alpha P
 
-    and the congruence holds iff every z-coefficient of every entry of
-    R_k reduces to 0 modulo the Groebner basis of (q1, q2, q3).  The
-    report records, per degree, the z-range through which the residual
-    is reliably known and the first surviving term if any.
+    with P = P_{k-1}: scalar weights, computed by series arithmetic,
+    times polynomial matrices.  The congruence holds iff every
+    z-coefficient of every entry of R_k reduces to 0 modulo the Groebner
+    basis of (q1, q2, q3).  Reduction is linear, so exponents whose
+    weight vectors are proportional share one reduced combination; only
+    the coefficient a failure reports is scaled out.  The report
+    records, per degree, the z-range through which the residual is
+    reliably known and the first surviving term if any.
     """
     if K > cocycle.K:
         raise ValueError(f"cocycle was built at order {cocycle.K} < {K}")
-    basis = cocycle.basis
+    alpha, beta = cocycle.A_alpha, cocycle.A_beta
+    zero = MPoly.zero(COORDS)
+    p = _slice_matrix(cocycle.G[0], 0, zero)
     degrees = []
     for k in range(1, K + 1):
-        d_g = mat2.map_entries(lambda s: s.diff(), cocycle.G[k])
-        g_prev = cocycle.G[k - 1]
-        rhs = mat2.sub(
-            mat2.mul(g_prev, cocycle.A_beta), mat2.mul(cocycle.A_alpha, g_prev)
-        )
-        residual = _reduce_matrix(mat2.sub(d_g, rhs), basis)
-        truncs = [s.trunc for s in mat2.entries(residual) if s.trunc is not None]
-        reliable = min(truncs, default=None)
-        failure = None
-        for n, entry in enumerate(mat2.entries(residual)):
-            if not entry.is_zero_shown():
-                e = min(entry.coeffs)
-                failure = (f"degree {k}, entry ({n // 2},{n % 2}), "
-                           f"z^{e}: {entry.coeffs[e]}")
-                break
-        degrees.append(DegreeResidual(k, failure is None, reliable, failure))
+        p_k = _slice_matrix(cocycle.G[k], k, zero)
+        terms = [(TruncLaurent.monomial(ZVAR, -k).diff(), p_k)]
+        if any(mat2.entries(p)):  # an exact-zero slice adds no term, no truncation
+            shift = TruncLaurent.monomial(ZVAR, 1 - k)
+            terms += [
+                (shift, mat2.sub(mat2.mul(alpha.T, p), mat2.mul(p, beta.T))),
+                (shift * beta.phi, mat2.mul(p, beta.Y)),
+                (-(shift * alpha.phi), mat2.mul(alpha.Y, p)),
+            ]
+        degrees.append(_degree_residual(k, terms, cocycle.basis))
+        p = p_k
     return CongruenceReport(all(d.ok for d in degrees), tuple(degrees))
+
+
+def _slice_matrix(g_slice, j, zero):
+    """P_j: the polynomial matrix of the slice G_j = z^{-j} P_j."""
+    return mat2.map_entries(lambda s: s.coeffs.get(-j, zero), g_slice)
+
+
+def _degree_residual(k, terms, basis):
+    """Reduce the residual sum_t w_t * M_t of the (weight, matrix) terms.
+
+    The residual is known below the least weight truncation.  Exponents
+    are grouped by their weight vector scaled to lead with 1; per entry,
+    each group's combination is reduced once, and the first entry with
+    a surviving group reports its lowest surviving exponent.
+    """
+    weights = [w for w, _ in terms]
+    reliable = min((w.trunc for w in weights if w.trunc is not None), default=None)
+    groups = {}  # weight vector scaled to lead with 1 -> [(exponent, scale)]
+    for e in sorted(set().union(*(w.coeffs for w in weights))):
+        if reliable is not None and e >= reliable:
+            continue
+        vector = [w.coeffs.get(e, 0) for w in weights]
+        lead = next(c for c in vector if c)
+        groups.setdefault(tuple(c / lead for c in vector), []).append((e, lead))
+    failure = None
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        survivors = []
+        for key, members in groups.items():
+            parts = [m[i][j] if c == 1 else m[i][j] * c
+                     for c, (_, m) in zip(key, terms) if c]
+            reduced = normal_form(sum(parts[1:], parts[0]), basis, DEFAULT_ORDER)
+            if reduced:
+                survivors.append((*members[0], reduced))
+        if survivors:
+            e, lead, reduced = min(survivors, key=lambda s: s[0])
+            failure = f"degree {k}, entry ({i},{j}), z^{e}: {reduced * lead}"
+            break
+    return DegreeResidual(k, failure is None, reliable, failure)
 
 
 def commutes_mod_ideal():

@@ -4,6 +4,8 @@ A series is a sparse map from integer exponents (possibly negative) to
 coefficients, together with a truncation bound ``trunc``: coefficients
 at exponents >= trunc are unknown.  ``trunc=None`` means the series is
 exact.  Coefficients are Fractions or MPoly values; the two mix freely.
+A rational operand acts as a constant series; a polynomial factor goes
+in through ``scale``.
 
 Reliability is tracked through arithmetic.  A product is reliable up to
 min(trunc_a + val_b, trunc_b + val_a), the usual bookkeeping for series
@@ -24,7 +26,7 @@ class TruncationExhausted(Exception):
 
 
 def _is_scalar(c):
-    return isinstance(c, (int, Fraction, MPoly))
+    return isinstance(c, (int, Fraction))
 
 
 def _min_trunc(a, b):

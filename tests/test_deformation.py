@@ -11,6 +11,7 @@ import pytest
 
 from conngerm.deformation import (
     SAFETY_MARGIN,
+    DegreeResidual,
     build_cocycle,
     commutes_mod_ideal,
     congruence_check,
@@ -18,8 +19,8 @@ from conngerm.deformation import (
     phi_cochain,
     wp_series,
 )
-from conngerm.kuranishi import DEFAULT_ORDER, groebner_basis, symbolic_pair
-from conngerm.mat2 import commutator, map_entries, mat, mul, sub
+from conngerm.kuranishi import DEFAULT_ORDER, groebner_basis, quadrics, symbolic_pair
+from conngerm.mat2 import commutator, entries, map_entries, mat, mul, sub
 from conngerm.poly import normal_form
 from conngerm.series import TruncationExhausted, TruncLaurent
 
@@ -196,3 +197,89 @@ def test_congruence_detects_tampering():
 
 def test_commutes_mod_ideal():
     assert commutes_mod_ideal()
+
+
+# -- oracle: the residual expanded as products of series matrices ---------
+
+
+def _expanded_check(coc, K):
+    """The DegreeResidual tuple the long way: expand each connection to a
+    matrix of Laurent series with polynomial coefficients, multiply the
+    series matrices, and reduce every z-coefficient of every entry."""
+
+    def expand(conn):
+        T = map_entries(lambda t: TruncLaurent.const("z", t), conn.T)
+        return sub(T, map_entries(conn.phi.scale, conn.Y))
+
+    A_alpha, A_beta = expand(coc.A_alpha), expand(coc.A_beta)
+    degrees = []
+    for k in range(1, K + 1):
+        G_prev = coc.G[k - 1]
+        residual = sub(
+            map_entries(lambda s: s.diff(), coc.G[k]),
+            sub(mul(G_prev, A_beta), mul(A_alpha, G_prev)),
+        )
+        flat = [s.map_coeffs(lambda c: normal_form(c, coc.basis, DEFAULT_ORDER))
+                for s in entries(residual)]
+        reliable = min((s.trunc for s in flat if s.trunc is not None), default=None)
+        failure = None
+        for n, s in enumerate(flat):
+            if not s.is_zero_shown():
+                e = min(s.coeffs)
+                failure = f"degree {k}, entry ({n // 2},{n % 2}), z^{e}: {s.coeffs[e]}"
+                break
+        degrees.append(DegreeResidual(k, failure is None, reliable, failure))
+    return tuple(degrees)
+
+
+def _seeded_curves(seed, n):
+    """(g2, g3, z-truncation) triples; the first is the curve g2 = g3 = 0."""
+    r = random.Random(seed)
+
+    def frac():
+        return F(r.randint(-9, 9), r.randint(1, 6))
+
+    return [(F(0), F(0), 10)] + [(frac(), frac(), r.randint(10, 14)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("g2, g3, N", _seeded_curves(2207, 5))
+def test_factored_residual_matches_expanded_oracle(g2, g3, N):
+    coc = build_cocycle(6, N, wp_series(g2, g3, N))
+    report = congruence_check(coc, 6)
+    assert report.degrees == _expanded_check(coc, 6)
+    assert report.ok
+
+
+def test_factored_residual_matches_oracle_on_swapped_connections():
+    coc = build_cocycle(6, 11, wp_series(F(-3, 2), F(5, 4), 11))
+    bad = dataclasses.replace(coc, A_alpha=coc.A_beta, A_beta=coc.A_alpha)
+    report = congruence_check(bad, 6)
+    assert report.degrees == _expanded_check(bad, 6)
+    assert not any(d.ok for d in report.degrees)
+
+
+def test_factored_residual_matches_oracle_on_perturbed_ideals():
+    coc = build_cocycle(4, 9, wp_series(F(4), F(0), 9))
+    q = quadrics()
+    dropped = dataclasses.replace(coc, basis=(q.q1, q.q3))
+    report = congruence_check(dropped, 4)
+    assert report.degrees == _expanded_check(dropped, 4)
+    assert report.degrees[0].ok
+    assert report.first_failure() == "degree 2, entry (0,1), z^-1: 2*x*y12 - 2*x12*y"
+    # the same ideal from generators that are not a Groebner basis
+    mixed = dataclasses.replace(coc, basis=(q.q1, 3 * q.q2 + q.q3, q.q3))
+    report = congruence_check(mixed, 4)
+    assert report.degrees == _expanded_check(mixed, 4)
+    assert report.ok
+
+
+def test_factored_residual_matches_oracle_on_a_tampered_chart_series():
+    # a doubled phi_alpha known to a shorter z-range: the failure comes
+    # from the regular part, where many exponents share one weight class,
+    # and the two charts' truncations differ
+    coc = build_cocycle(4, 10, wp_series(F(3), F(1, 2), 10))
+    alpha = dataclasses.replace(coc.A_alpha, phi=coc.A_alpha.phi.scale(2).truncate(8))
+    bad = dataclasses.replace(coc, A_alpha=alpha)
+    report = congruence_check(bad, 4)
+    assert report.degrees == _expanded_check(bad, 4)
+    assert not report.ok

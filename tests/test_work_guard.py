@@ -92,3 +92,21 @@ def test_power_squares_only_while_bits_remain(monkeypatch, n, most):
     monkeypatch.setattr(MPoly, "__mul__", counting)
     assert base**n == expected
     assert calls[0] <= most
+
+
+def test_congruence_check_work_does_not_grow_with_the_z_truncation(monkeypatch):
+    calls = [0]
+    original = MPoly.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    cocycles = [build_cocycle(6, n, wp_series(4, 0, n)) for n in (10, 24)]
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    counts = []
+    for cocycle in cocycles:
+        calls[0] = 0
+        assert congruence_check(cocycle, 6).ok
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 240
